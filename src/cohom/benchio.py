@@ -12,7 +12,8 @@ Results are a fixed-order table, one row per scan point, written as CSV
 (bit-stable across reruns with the same seed) or as JSON carrying the
 same rows plus a run manifest (config echo, seed, engine versions,
 wall clock).  Floats are rendered with 12 significant digits in both
-formats.
+formats; an undefined value (NaN, such as the g2 of a dead detector) is
+``nan`` in CSV and ``null`` in JSON, which stays strict JSON.
 """
 
 from __future__ import annotations
@@ -171,7 +172,7 @@ def _as_int(tok: _Token) -> int:
     except ValueError:
         raise ConfigParseError(f"not an integer: '{tok.text}'",
                                tok.line, tok.column) from None
-    if as_float != int(as_float):
+    if not (math.isfinite(as_float) and as_float.is_integer()):
         raise ConfigParseError(f"not an integer: '{tok.text}'",
                                tok.line, tok.column)
     return int(as_float)
@@ -356,8 +357,11 @@ def _fmt(value: float) -> str:
     return format(float(value), ".12g")
 
 
-def _round12(value: float) -> float:
-    return float(_fmt(value))
+def _json_float(value: float) -> Optional[float]:
+    """JSON value of a float: 12 significant digits, None (``null``) when
+    not finite, since strict JSON has no NaN or infinity."""
+    value = float(value)
+    return float(_fmt(value)) if math.isfinite(value) else None
 
 
 def analytic_rows(config: RunConfig, tau21_values) -> list:
@@ -456,12 +460,14 @@ _CSV_COLUMNS = CSV_HEADER.split(",")
 
 def _row_dict(row: ResultRow) -> dict:
     return {
-        "tau21_s": _round12(row.tau21_s),
-        "I1": _round12(row.i1), "I2": _round12(row.i2),
-        "I3": _round12(row.i3), "I4": _round12(row.i4),
-        "R13": _round12(row.r13), "R24": _round12(row.r24),
-        "g2_13": _round12(row.g2_13), "g2_13_err": _round12(row.g2_13_err),
-        "g2_24": _round12(row.g2_24), "g2_24_err": _round12(row.g2_24_err),
+        "tau21_s": _json_float(row.tau21_s),
+        "I1": _json_float(row.i1), "I2": _json_float(row.i2),
+        "I3": _json_float(row.i3), "I4": _json_float(row.i4),
+        "R13": _json_float(row.r13), "R24": _json_float(row.r24),
+        "g2_13": _json_float(row.g2_13),
+        "g2_13_err": _json_float(row.g2_13_err),
+        "g2_24": _json_float(row.g2_24),
+        "g2_24_err": _json_float(row.g2_24_err),
         "n_coinc_13": row.n_coinc_13, "n_coinc_24": row.n_coinc_24,
     }
 
@@ -471,7 +477,7 @@ def render_results_json(result: RunResult) -> str:
         "manifest": result.manifest,
         "rows": [_row_dict(row) for row in result.rows],
     }
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def render_results(result: RunResult, fmt: str) -> str:
@@ -520,9 +526,11 @@ def parse_results_csv(text: str) -> list:
 
 
 def parse_results_json(text: str) -> RunResult:
+    """Read back a results JSON document; ``null`` values become NaN."""
     payload = json.loads(text)
     rows = tuple(
-        _row_from_values([entry[name] for name in _CSV_COLUMNS])
+        _row_from_values([math.nan if entry[name] is None else entry[name]
+                          for name in _CSV_COLUMNS])
         for entry in payload["rows"]
     )
     return RunResult(rows=rows, manifest=payload["manifest"])

@@ -1,32 +1,43 @@
-"""Event-level simulation of the four-detector coincidence bench.
+"""Simulation of the four-detector coincidence bench.
 
 Each simulated event is one doubly-bunched pair: two photons sharing a
 coherence slot, a common detuning draw ``delta_f`` (the up-tagged photon
 is shifted by +delta_f, the down-tagged one by -delta_f) and a common
 random optical phase.  The joint path assignment of the two photons at
-the first splitter (the *sector*) is sampled uniformly; conditioned on
-its path tag, each photon propagates to the detectors with the
-coefficients supplied by :mod:`cohom.optics`.
+the first splitter (the *sector*) is uniform; conditioned on its path
+tag, each photon propagates to the detectors with the coefficients
+supplied by :mod:`cohom.optics`.
 
 Two simulation modes:
 
 ``amplitude``
-    Two-photon pairing sums.  The detector-pair outcome of every event
-    is drawn from the bosonic probability table built from the joint
+    Two-photon pairing sums.  The detector-pair outcome of every pair
+    follows the bosonic probability table built from the joint
     amplitudes ``A(a->Di) A(b->Dj) + A(a->Dj) A(b->Di)``; the cross-port
     cancellation makes D1-D3 (and D2-D4) coincidences impossible for
     cross-path pairs, so any surviving counts come from same-path
     leakage (removed by the heterodyne filter) or injected accidentals.
+    The detuning, the delays and the optical phase enter the pairing
+    sums only as unit-modulus factors, so the table is one fixed table
+    per path class (cross-path or same-path).  A run therefore draws its
+    exact counts directly: a binomial split between the classes, a
+    multinomial over the outcomes of each class and a binomial window
+    acceptance per two-detector outcome.  Its cost does not grow with
+    ``n_pairs``, and ``sigma_f``, ``tau1`` and ``tau2`` cannot move its
+    counts.
 
 ``classical``
     Independent per-detector intensity sampling: every detector clicks
     with probability ``mean_photon_number * I_k(delta_f) / I0`` per
     slot.  This reproduces the classical coherent-light correlation
     floor g2 = 0.5 and calibrates the quantum-vs-classical contrast.
+    Slots are simulated in fixed-size chunks, chunk ``i`` drawing from
+    the substream ``SeedSequence(seed, spawn_key=(i,))``; chunk results
+    are merged by integer addition as they finish, so serial and
+    parallel execution are bit-identical.
 
-Runs are deterministic: pairs are partitioned into fixed-size chunks,
-one spawned RNG substream per chunk, and chunk results are merged by
-integer addition, so serial and parallel execution are bit-identical.
+Runs are deterministic: the same config gives the same counts for any
+``workers`` count.
 """
 
 from __future__ import annotations
@@ -56,9 +67,8 @@ OUTCOMES = (
     (4, 4),
 )
 
-_I_IDX = np.array([i - 1 for i, _ in OUTCOMES])
-_J_IDX = np.array([j - 1 for _, j in OUTCOMES])
-_DIAGONAL = _I_IDX == _J_IDX
+#: numpy draws counts as int64, so no run may hold more pairs
+_MAX_PAIRS = 2**63 - 1
 
 _SQRT2 = math.sqrt(2.0)
 _MODES = ("amplitude", "classical")
@@ -94,13 +104,13 @@ class PairSector(Enum):
         return self.value[0] is not self.value[1]
 
 
-SECTORS = (PairSector.UD, PairSector.DU, PairSector.UU, PairSector.DD)
-_SECTOR_CROSS = np.array([s.is_cross_path for s in SECTORS])
-
-
 def _require(field: str, ok: bool, message: str) -> None:
     if not ok:
         raise ConfigError(field, message)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -135,8 +145,9 @@ class RunConfig:
                  math.isfinite(self.mean_photon_number)
                  and self.mean_photon_number > 0,
                  "must be finite and > 0")
-        _require("n_pairs", isinstance(self.n_pairs, int) and self.n_pairs >= 1,
-                 "must be an integer >= 1")
+        _require("n_pairs",
+                 _is_int(self.n_pairs) and 1 <= self.n_pairs <= _MAX_PAIRS,
+                 "must be an integer in [1, 2**63 - 1]")
         _require("higher_order_ratio",
                  0.0 <= self.higher_order_ratio < 1.0, "must lie in [0, 1)")
         _require("pulse_sigma",
@@ -146,7 +157,7 @@ class RunConfig:
                  math.isfinite(self.coincidence_window)
                  and self.coincidence_window > 0,
                  "must be finite and > 0")
-        _require("seed", isinstance(self.seed, int) and self.seed >= 0,
+        _require("seed", _is_int(self.seed) and self.seed >= 0,
                  "must be a non-negative integer")
         _require("mode", self.mode in _MODES, f"must be one of {_MODES}")
         if self.mode == "classical":
@@ -220,32 +231,23 @@ def pair_amplitudes(delta_f, tau1, tau2, global_phase, sector) -> PairEvent:
     return PairEvent(delta_f, global_phase, sector, amps)
 
 
-def outcome_probability_table(delta_f, tau1, tau2, global_phase, sector):
-    """Vectorized outcome probabilities, one row per event.
+def outcome_probability_table(cross_path: bool) -> np.ndarray:
+    """Outcome probabilities over :data:`OUTCOMES` for one path class.
 
-    ``delta_f`` and ``global_phase`` may be arrays of the same shape; the
-    result has one trailing axis over :data:`OUTCOMES`.  The detuning and
-    phase enter only as unit-modulus factors, so the structural zeros of
-    the pairing sums (the anticorrelated detector pairs) stay exactly
-    zero for every event.
+    The class is the cross-path sectors (UD, DU) or the same-path ones
+    (UU, DD); the two sectors of a class give the same table.  The
+    detuning, the delays and the optical phase enter the pairing sums
+    only as unit-modulus factors, so one evaluation of
+    :func:`pair_amplitudes` at zero stands for every pair of the class.
     """
-    delta_f = np.asarray(delta_f, dtype=float)
-    phase = np.asarray(global_phase, dtype=float)
-    base = detector_path_coefficients(0.0, tau1, tau2)
-    by_path = {
-        p: _SQRT2 * np.array([base[k][p] for k in DETECTORS])
-        for p in (PathTag.U, PathTag.D)
-    }
-    a1 = by_path[sector.path_1]
-    a2 = by_path[sector.path_2]
-    bracket = a1[_I_IDX] * a2[_J_IDX] + a1[_J_IDX] * a2[_I_IDX]
-
-    up = np.exp(1j * delta_f * (tau1 + tau2))
-    arm = {PathTag.U: up, PathTag.D: np.conj(up)}
-    w = arm[sector.path_1] * arm[sector.path_2] * np.exp(2j * phase)
-    q = np.abs(bracket * w[..., None]) ** 2
-    q[..., _DIAGONAL] /= 2.0
-    return q / q.sum(axis=-1, keepdims=True)
+    sector = PairSector.UD if cross_path else PairSector.UU
+    probs = pair_amplitudes(0.0, 0.0, 0.0, 0.0, sector).outcome_probabilities()
+    table = np.array([probs[o] for o in OUTCOMES])
+    # Suppressed outcomes cancel only to float precision (~1e-33 at a
+    # general detuning); a per-event sampler drawing uniforms on the
+    # 2**-53 grid could not reach them either, so they are exact zeros.
+    table[table < np.finfo(float).eps] = 0.0
+    return table
 
 
 def detector_convolve(true_time, rng, pulse_sigma, size=None):
@@ -255,21 +257,16 @@ def detector_convolve(true_time, rng, pulse_sigma, size=None):
     return float(result) if result.ndim == 0 else result
 
 
-def postselect(sector, outcome, delta_t, config) -> bool:
-    """Coincidence post-selection predicate for one sampled outcome.
+def _window_acceptance(config) -> float:
+    """Probability that two jittered stamps of one pair fall in the window.
 
-    Keeps only two-detector outcomes whose time stamps fall inside the
-    coincidence window; with the heterodyne filter on, same-path pairs
-    (equal detuning signs, hence no beat note) are discarded as well.
+    The stamp difference of two independent Gaussian jitters has standard
+    deviation sqrt(2) * pulse_sigma, so ``|t1 - t2| <= W`` holds with
+    probability erf(W / (2 pulse_sigma)).
     """
-    i, j = outcome
-    if i == j:
-        return False
-    if abs(delta_t) > config.coincidence_window:
-        return False
-    if config.heterodyne_filter and not sector.is_cross_path:
-        return False
-    return True
+    if config.pulse_sigma == 0.0:
+        return 1.0
+    return math.erf(config.coincidence_window / (2.0 * config.pulse_sigma))
 
 
 @dataclass
@@ -342,60 +339,51 @@ def _inject_accidentals(config, rng, n_slots, acc) -> None:
     chosen detector pair; both photons always raise the singles counters,
     and the coincidence registers when the jittered stamps stay inside
     the window.  Accidentals carry no beat-note information, so the
-    heterodyne filter does not remove them.
+    heterodyne filter does not remove them.  The counts are drawn
+    directly: a binomial for the contaminated slots, a multinomial over
+    the detector pairs and a binomial window acceptance per pair.
     """
     n_acc = int(rng.binomial(n_slots, config.higher_order_ratio))
-    pick = rng.integers(0, len(DETECTOR_PAIRS), n_acc)
-    times = detector_convolve(np.zeros((n_acc, 2)), rng, config.pulse_sigma)
-    ok = np.abs(times[:, 0] - times[:, 1]) <= config.coincidence_window
-    for p, (i, j) in enumerate(DETECTOR_PAIRS):
-        hit = pick == p
-        n_hit = int(np.count_nonzero(hit))
+    uniform = [1.0 / len(DETECTOR_PAIRS)] * len(DETECTOR_PAIRS)
+    p_window = _window_acceptance(config)
+    hits = rng.multinomial(n_acc, uniform).tolist()
+    for (i, j), n_hit in zip(DETECTOR_PAIRS, hits):
         acc.singles[i] += n_hit
         acc.singles[j] += n_hit
-        acc.coincidences[(i, j)] += int(np.count_nonzero(hit & ok))
+        acc.coincidences[(i, j)] += int(rng.binomial(n_hit, p_window))
 
 
-def _amplitude_chunk(config, rng, n) -> CountsAccumulator:
-    """Simulate n pair events in amplitude (pairing-sum) mode."""
+def _amplitude_run(config) -> CountsAccumulator:
+    """Exact counts of a whole amplitude-mode run.
+
+    A pair is cross-path with probability 1/2; each class then draws one
+    multinomial over its outcome table.  Postselection keeps a
+    two-detector outcome whose stamps fall in the window and, with the
+    heterodyne filter on, only from the cross-path class.  The window
+    binomials of the same-path class are drawn with the filter on too, so
+    the filter only ever removes counts from the same draws.
+    """
+    rng = np.random.default_rng(config.seed)
+    p_window = _window_acceptance(config)
     acc = CountsAccumulator.empty()
-    delta = sample_detuning(rng, config.sigma_f, n)
-    phase = rng.uniform(0.0, 2.0 * math.pi, n)
-    sector_idx = rng.integers(0, len(SECTORS), n)
-    pick = rng.random(n)
-    times = detector_convolve(np.zeros((n, 2)), rng, config.pulse_sigma)
+    n_cross = int(rng.binomial(config.n_pairs, 0.5))
+    for cross_path, n_class in ((True, n_cross),
+                                (False, config.n_pairs - n_cross)):
+        kept_class = cross_path or not config.heterodyne_filter
+        hits = rng.multinomial(
+            n_class, outcome_probability_table(cross_path)).tolist()
+        for (i, j), n_hit in zip(OUTCOMES, hits):
+            acc.singles[i] += n_hit
+            acc.singles[j] += n_hit
+            if i == j:
+                continue
+            n_kept = int(rng.binomial(n_hit, p_window))
+            if kept_class:
+                acc.coincidences[(i, j)] += n_kept
+                acc.n_postselected += n_kept
+    acc.n_generated = config.n_pairs
 
-    outcome = np.empty(n, dtype=np.intp)
-    for s, sector in enumerate(SECTORS):
-        mask = sector_idx == s
-        if not mask.any():
-            continue
-        prob = outcome_probability_table(
-            delta[mask], config.tau1, config.tau2, phase[mask], sector)
-        cdf = np.cumsum(prob, axis=1)
-        # index of the CDF interval holding the uniform draw; zero-width
-        # (zero-probability) intervals are unreachable by construction
-        idx = (pick[mask, None] >= cdf).sum(axis=1)
-        outcome[mask] = np.minimum(idx, len(OUTCOMES) - 1)
-
-    i_det = _I_IDX[outcome]
-    j_det = _J_IDX[outcome]
-    for k in range(4):
-        acc.singles[k + 1] += int(
-            np.count_nonzero(i_det == k) + np.count_nonzero(j_det == k))
-
-    within = np.abs(times[:, 0] - times[:, 1]) <= config.coincidence_window
-    allowed = within & (i_det != j_det)
-    if config.heterodyne_filter:
-        allowed &= _SECTOR_CROSS[sector_idx]
-    acc.n_postselected += int(np.count_nonzero(allowed))
-    for o, (i, j) in enumerate(OUTCOMES):
-        if i == j:
-            continue
-        acc.coincidences[(i, j)] += int(np.count_nonzero(allowed & (outcome == o)))
-    acc.n_generated += n
-
-    _inject_accidentals(config, rng, n, acc)
+    _inject_accidentals(config, rng, config.n_pairs, acc)
     return acc
 
 
@@ -432,37 +420,47 @@ def _classical_chunk(config, rng, n) -> CountsAccumulator:
     return acc
 
 
-def _chunk_sizes(n_pairs: int) -> list:
-    sizes = [CHUNK_SIZE] * (n_pairs // CHUNK_SIZE)
-    if n_pairs % CHUNK_SIZE:
-        sizes.append(n_pairs % CHUNK_SIZE)
-    return sizes
+def _classical_run(config, workers) -> CountsAccumulator:
+    """Classical slots in fixed-size chunks, merged as each one finishes.
+
+    Chunk ``i`` draws from ``SeedSequence(seed, spawn_key=(i,))``, the
+    stream ``SeedSequence(seed).spawn(n)[i]`` would hand out, derived on
+    demand so that no per-chunk state is built before the first chunk.
+    A pool keeps at most a few chunks per worker in flight.
+    """
+    n_chunks = -(-config.n_pairs // CHUNK_SIZE)
+
+    def run_chunk(idx: int) -> CountsAccumulator:
+        stream = np.random.SeedSequence(config.seed, spawn_key=(idx,))
+        size = min(CHUNK_SIZE, config.n_pairs - idx * CHUNK_SIZE)
+        return _classical_chunk(config, np.random.default_rng(stream), size)
+
+    total = CountsAccumulator.empty()
+    if workers <= 1:
+        for idx in range(n_chunks):
+            total.merge(run_chunk(idx))
+        return total
+    batch = 4 * workers
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for start in range(0, n_chunks, batch):
+            stop = min(start + batch, n_chunks)
+            for part in pool.map(run_chunk, range(start, stop)):
+                total.merge(part)
+    return total
 
 
 def simulate_run(config: RunConfig, workers: int = 1) -> CountsAccumulator:
     """Run the full simulation described by ``config``.
 
-    Events are processed in fixed-size chunks, one spawned RNG substream
-    per chunk; the chunk results are merged by integer addition, so the
-    outcome is bit-identical for any ``workers`` count and across reruns
-    with the same config.
+    Amplitude mode draws the exact counts of the whole run in one pass;
+    classical mode simulates chunks of slots on up to ``workers`` threads.
+    Both merge by integer addition, so the outcome is bit-identical for
+    any ``workers`` count and across reruns with the same config.
     """
-    sizes = _chunk_sizes(config.n_pairs)
-    streams = np.random.SeedSequence(config.seed).spawn(len(sizes))
-    kernel = _amplitude_chunk if config.mode == "amplitude" else _classical_chunk
-
-    def run_chunk(idx: int) -> CountsAccumulator:
-        return kernel(config, np.random.default_rng(streams[idx]), sizes[idx])
-
-    if workers <= 1:
-        parts = [run_chunk(i) for i in range(len(sizes))]
+    if config.mode == "amplitude":
+        total = _amplitude_run(config)
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run_chunk, range(len(sizes))))
-
-    total = CountsAccumulator.empty()
-    for part in parts:
-        total.merge(part)
+        total = _classical_run(config, workers)
     total.histogram[config.tau2 - config.tau1] = total.total_coincidences()
     return total
 

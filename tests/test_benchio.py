@@ -1,5 +1,6 @@
 """Config-file parsing, seed precedence, and result serialization."""
 
+import json
 import math
 
 import pytest
@@ -155,6 +156,12 @@ class TestParseErrors:
     def test_bad_int(self):
         err = self.err(MINIMAL + "[source]\nn_pairs = 2.5\n")
         assert "not an integer" in str(err)
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "1e400"])
+    def test_non_finite_int_position(self, value):
+        err = self.err(MINIMAL + f"[source]\nn_pairs = {value}\n")
+        assert "not an integer" in str(err)
+        assert err.line == 6 and err.column == 11
 
     def test_bad_bool(self):
         err = self.err(MINIMAL + "[run]\nheterodyne_filter = maybe\n")
@@ -369,6 +376,28 @@ class TestResultsSerialization:
         assert parsed.manifest["config"]["tau1"] == 1e-6
         csv_rows = parse_results_csv(render_results_csv(result))
         assert list(parsed.rows) == csv_rows
+
+    def test_json_nan_is_null_and_round_trips(self):
+        row = ResultRow(tau21_s=0.0, i1=0.5, i2=0.0, i3=0.5, i4=0.0,
+                        r13=0.0, r24=0.0, g2_13=0.25, g2_13_err=0.1,
+                        g2_24=math.nan, g2_24_err=math.nan,
+                        n_coinc_13=1, n_coinc_24=0)
+        result = RunResult((row,), sample_result().manifest)
+        text = render_results_json(result)
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        rendered = json.loads(text, parse_constant=reject)["rows"][0]
+        assert rendered["g2_24"] is None and rendered["g2_24_err"] is None
+        assert rendered["g2_13"] == 0.25
+        parsed, = parse_results_json(text).rows
+        assert math.isnan(parsed.g2_24) and math.isnan(parsed.g2_24_err)
+        assert parsed.g2_13 == 0.25
+        # CSV keeps writing nan, and both formats read back the same row
+        csv_row, = parse_results_csv(render_results_csv(result))
+        assert render_results_csv(RunResult((parsed,), {})) == \
+            render_results_csv(RunResult((csv_row,), {}))
 
     def test_write_results_path_context(self, tmp_path):
         result = sample_result()

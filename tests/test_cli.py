@@ -126,6 +126,24 @@ class TestSimulateAndScan:
         assert capsys.readouterr().out == ""
         assert target.read_text().startswith("tau21_s,")
 
+    def test_json_is_strict_when_g2_is_undefined(self, tmp_path, capsys):
+        # three slots at mu = 0.01 leave detectors dark: g2 is undefined
+        path = tmp_path / "dark.cfg"
+        path.write_text(POINT_CFG.replace("n_pairs = 20000", "n_pairs = 3\n"
+                                          "mean_photon_number = 0.01")
+                        + "mode = classical\n")
+        code = main(["simulate", "--config", str(path), "--quiet",
+                     "--format", "json"])
+        assert code == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        row = json.loads(capsys.readouterr().out,
+                         parse_constant=reject)["rows"][0]
+        for key in ("g2_13", "g2_13_err", "g2_24", "g2_24_err"):
+            assert row[key] is None
+
     def test_json_manifest(self, point_cfg, capsys):
         code = main(["simulate", "--config", point_cfg, "--quiet",
                      "--format", "json"])
@@ -167,6 +185,17 @@ class TestErrors:
         path.write_text(POINT_CFG.replace("2.5e5", "-1"))
         assert main(["simulate", "--config", str(path), "--quiet"]) == 2
         assert "sigma_f_hz" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "1e400", "-inf",
+                                       str(2**63)])
+    def test_unrepresentable_pair_count(self, tmp_path, capsys, value):
+        path = tmp_path / "bad.cfg"
+        path.write_text(POINT_CFG.replace("n_pairs = 20000",
+                                          f"n_pairs = {value}"))
+        assert main(["simulate", "--config", str(path), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "line 7, column 11" in err
+        assert "Traceback" not in err
 
     def test_usage_error_exit_2(self):
         with pytest.raises(SystemExit) as err:

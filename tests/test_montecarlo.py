@@ -23,12 +23,10 @@ from cohom.montecarlo import (
     G2Estimate,
     PairSector,
     RunConfig,
-    SECTORS,
     detector_convolve,
     g2_estimate,
     outcome_probability_table,
     pair_amplitudes,
-    postselect,
     sample_detuning,
     scan_tau21,
     simulate_run,
@@ -70,18 +68,22 @@ class TestConfigValidation:
         assert "sigma_f" in str(err.value)
 
     def test_bad_values_name_their_fields(self):
-        cases = {
-            "tau1": dict(tau1=-1e-9),
-            "tau2": dict(tau2=float("nan")),
-            "mean_photon_number": dict(mean_photon_number=0.0),
-            "n_pairs": dict(n_pairs=0),
-            "higher_order_ratio": dict(higher_order_ratio=1.0),
-            "pulse_sigma": dict(pulse_sigma=-1e-9),
-            "coincidence_window": dict(coincidence_window=0.0),
-            "seed": dict(seed=-3),
-            "mode": dict(mode="quantumish"),
-        }
-        for field, overrides in cases.items():
+        cases = [
+            ("tau1", dict(tau1=-1e-9)),
+            ("tau2", dict(tau2=float("nan"))),
+            ("mean_photon_number", dict(mean_photon_number=0.0)),
+            ("n_pairs", dict(n_pairs=0)),
+            ("n_pairs", dict(n_pairs=True)),
+            # numpy draws counts as int64
+            ("n_pairs", dict(n_pairs=2**63)),
+            ("higher_order_ratio", dict(higher_order_ratio=1.0)),
+            ("pulse_sigma", dict(pulse_sigma=-1e-9)),
+            ("coincidence_window", dict(coincidence_window=0.0)),
+            ("seed", dict(seed=-3)),
+            ("seed", dict(seed=False)),
+            ("mode", dict(mode="quantumish")),
+        ]
+        for field, overrides in cases:
             with pytest.raises(ConfigError) as err:
                 base_config(**overrides)
             assert err.value.field == field
@@ -185,7 +187,7 @@ class TestPairAmplitudes:
             df = rng.uniform(-8e6, 8e6)
             t1, t2 = rng.uniform(0, 4e-6, size=2)
             phi = rng.uniform(0, 2 * math.pi)
-            for sector in SECTORS:
+            for sector in PairSector:
                 probs = pair_amplitudes(
                     df, t1, t2, phi, sector).outcome_probabilities()
                 assert abs(sum(probs.values()) - 1.0) < 1e-12
@@ -213,43 +215,28 @@ class TestPairAmplitudes:
 
 class TestOutcomeTable:
     def test_matches_scalar_event(self):
+        # the oracle: one class table stands for every detuning, delay
+        # pair and phase of every sector in the class
         rng = np.random.default_rng(6)
-        for sector in SECTORS:
-            df = rng.uniform(-8e6, 8e6, size=20)
-            phi = rng.uniform(0, 2 * math.pi, size=20)
-            table = outcome_probability_table(df, 0.8e-6, 1.3e-6, phi, sector)
-            assert table.shape == (20, len(OUTCOMES))
-            for row in range(20):
-                event = pair_amplitudes(
-                    df[row], 0.8e-6, 1.3e-6, phi[row], sector)
-                scalar = event.outcome_probabilities()
+        for sector in PairSector:
+            table = outcome_probability_table(sector.is_cross_path)
+            for _ in range(20):
+                df = rng.uniform(-8e6, 8e6)
+                t1, t2 = rng.uniform(0, 4e-6, size=2)
+                phi = rng.uniform(0, 2 * math.pi)
+                scalar = pair_amplitudes(
+                    df, t1, t2, phi, sector).outcome_probabilities()
                 for col, pair in enumerate(OUTCOMES):
-                    if scalar[pair] < 1e-30:
-                        # structurally suppressed outcome; the two code
-                        # paths agree it is unreachable
-                        assert table[row, col] < 1e-30
-                    else:
-                        assert table[row, col] == pytest.approx(
-                            scalar[pair], rel=1e-12)
+                    assert abs(table[col] - scalar[pair]) < 1e-12
 
     def test_rows_sum_to_one(self):
-        df = np.random.default_rng(8).uniform(-5e6, 5e6, 500)
-        phi = np.random.default_rng(9).uniform(0, 2 * math.pi, 500)
-        for sector in SECTORS:
-            table = outcome_probability_table(df, 1e-6, 1e-6, phi, sector)
-            assert np.max(np.abs(table.sum(axis=1) - 1.0)) < 1e-12
-
-
-class TestPostselect:
-    def test_rules(self):
-        cfg = base_config()
-        w = cfg.coincidence_window
-        assert postselect(PairSector.UD, (1, 4), 0.0, cfg)
-        assert not postselect(PairSector.UD, (1, 1), 0.0, cfg)  # single detector
-        assert not postselect(PairSector.UD, (1, 4), 2.0 * w, cfg)  # outside window
-        assert not postselect(PairSector.UU, (1, 4), 0.0, cfg)  # same path
-        cfg_off = base_config(heterodyne_filter=False)
-        assert postselect(PairSector.UU, (1, 4), 0.0, cfg_off)
+        for cross_path in (True, False):
+            table = outcome_probability_table(cross_path)
+            assert table.shape == (len(OUTCOMES),)
+            assert abs(table.sum() - 1.0) < 1e-12
+        cross = dict(zip(OUTCOMES, outcome_probability_table(True)))
+        for pair in ANTICORRELATED:
+            assert cross[pair] == 0.0
 
 
 class TestSimulateAmplitude:
@@ -291,6 +278,54 @@ class TestSimulateAmplitude:
             expect = n / 16.0
             spread = math.sqrt(n * (1.0 / 16.0))
             assert abs(counts.coincidences[pair] - expect) < 5.0 * spread
+
+    def test_anticorrelated_zero_at_huge_runs(self):
+        for seed in (1, 2, 3):
+            counts = simulate_run(base_config(n_pairs=10**12, seed=seed))
+            for pair in ANTICORRELATED:
+                assert counts.coincidences[pair] == 0
+            assert sum(counts.singles.values()) == 2 * 10**12
+
+    def test_window_acceptance_matches_erf(self):
+        # pulse_sigma = W: stamp differences have std sqrt(2) W, so a
+        # correlated pair survives the window with probability erf(1/2)
+        n = 400_000
+        w = 8e-9
+        counts = simulate_run(base_config(
+            n_pairs=n, pulse_sigma=w, coincidence_window=w))
+        p = math.erf(0.5) / 8.0
+        spread = math.sqrt(n * p * (1.0 - p))
+        for pair in CORRELATED:
+            assert abs(counts.coincidences[pair] - n * p) < 5.0 * spread
+
+    def test_zero_jitter_keeps_every_distinct_outcome(self):
+        # with every distinct outcome kept, what remains of a detector's
+        # singles after its coincidences is its double hits, counted twice
+        def leftovers(pulse_sigma, seed):
+            counts = simulate_run(base_config(
+                n_pairs=10**12, seed=seed, pulse_sigma=pulse_sigma,
+                heterodyne_filter=False))
+            return [counts.singles[k] - sum(
+                        c for pair, c in counts.coincidences.items()
+                        if k in pair)
+                    for k in DETECTORS]
+
+        for seed in (1, 2, 3):
+            assert all(r % 2 == 0 for r in leftovers(0.0, seed))
+        # the check has power: a window that drops pairs leaves odd ones
+        assert any(r % 2 for seed in (1, 2, 3)
+                   for r in leftovers(8e-9, seed))
+
+    def test_counts_ignore_detuning_and_delays(self):
+        reference = simulate_run(base_config(higher_order_ratio=0.01))
+        for overrides in (dict(sigma_f=0.0), dict(sigma_f=9e6),
+                          dict(tau1=0.0), dict(tau2=3.7e-6),
+                          dict(tau1=2e-6, tau2=0.5e-6)):
+            counts = simulate_run(base_config(higher_order_ratio=0.01,
+                                              **overrides))
+            assert counts.singles == reference.singles
+            assert counts.coincidences == reference.coincidences
+            assert counts.n_postselected == reference.n_postselected
 
     def test_accidental_floor(self):
         n = 200_000
@@ -341,8 +376,20 @@ class TestDeterminism:
             assert simulate_run(cfg) == simulate_run(cfg)
 
     def test_parallel_equals_serial(self):
-        cfg = base_config(n_pairs=150_000, higher_order_ratio=0.01)
+        # classical mode is the chunked one; 150000 slots make 5 chunks
+        cfg = base_config(mode="classical", n_pairs=150_000,
+                          higher_order_ratio=0.01)
         assert simulate_run(cfg, workers=1) == simulate_run(cfg, workers=4)
+
+    def test_chunk_streams_match_spawned_children(self):
+        # classical chunk i draws from SeedSequence(seed, spawn_key=(i,)),
+        # derived on demand; it must stay the stream spawn() hands out
+        for seed in (0, 1234, 2**63 + 5):
+            children = np.random.SeedSequence(seed).spawn(40)
+            for i in (0, 1, 7, 39):
+                lazy = np.random.SeedSequence(seed, spawn_key=(i,))
+                assert np.array_equal(lazy.generate_state(8),
+                                      children[i].generate_state(8))
 
     def test_filter_monotonicity(self):
         rng = np.random.default_rng(100)
@@ -353,6 +400,7 @@ class TestDeterminism:
             on = simulate_run(base_config(
                 seed=int(seed), n_pairs=20_000,
                 higher_order_ratio=0.01, heterodyne_filter=True))
+            assert on.singles == off.singles
             for pair in DETECTOR_PAIRS:
                 assert on.coincidences[pair] <= off.coincidences[pair]
 
