@@ -46,6 +46,11 @@ class PortFields:
 # Fringe sign per port: detectors 1 and 4 sit on the bright fringe.
 _PORT_SIGN = {1: +1.0, 2: -1.0, 3: -1.0, 4: +1.0}
 
+# (up, down) arm coefficient of each port before the offset phases; ports
+# 1 and 3 carry H, ports 2 and 4 carry V.
+_PORT_COEFFS = {1: (0.5j, 0.5j), 2: (0.5, -0.5), 3: (-0.5, 0.5),
+                4: (-0.5j, -0.5j)}
+
 
 def port_fields(delta_f: float, tau1: float, tau2: float) -> PortFields:
     """Detector-port fields, one component per arm, magnitude 1/2 each.
@@ -57,15 +62,14 @@ def port_fields(delta_f: float, tau1: float, tau2: float) -> PortFields:
     """
     u = cmath.exp(1j * delta_f * (tau1 + tau2))
     d = cmath.exp(-1j * delta_f * (tau1 + tau2))
-    hu = ModeLabel(Polarization.H, PathTag.U)
-    hd = ModeLabel(Polarization.H, PathTag.D)
-    vu = ModeLabel(Polarization.V, PathTag.U)
-    vd = ModeLabel(Polarization.V, PathTag.D)
-    e1 = PhotonField.from_amplitudes({hd: 0.5j * d, hu: 0.5j * u})
-    e2 = PhotonField.from_amplitudes({vu: 0.5 * u, vd: -0.5 * d})
-    e3 = PhotonField.from_amplitudes({hd: 0.5 * d, hu: -0.5 * u})
-    e4 = PhotonField.from_amplitudes({vu: -0.5j * u, vd: -0.5j * d})
-    return PortFields(e1, e2, e3, e4)
+    fields = []
+    for port, (up, down) in _PORT_COEFFS.items():
+        pol = Polarization.H if port in (1, 3) else Polarization.V
+        fields.append(PhotonField.from_amplitudes({
+            ModeLabel(pol, PathTag.U): up * u,
+            ModeLabel(pol, PathTag.D): down * d,
+        }))
+    return PortFields(*fields)
 
 
 def local_intensity(port: int, delta_f, tau1, tau2, i0: float = 1.0):
@@ -105,21 +109,24 @@ def fringe_visibility(sigma_f, tau1, tau2):
 # ---------------------------------------------------------------------------
 
 
-def _cross_pair_amplitude(
-    fields: PortFields, det_i: int, det_j: int, pol: Polarization
-) -> complex:
-    """Two-photon pairing amplitude between two same-polarization ports.
+def _cross_port_rate(port_i: int, port_j: int, delta_f, tau1, tau2):
+    """|pairing sum|^2 between two same-polarization ports.
 
     One photon of the pair travels the up arm, the other the down arm; the
     amplitude sums both assignments.  Same-arm products never appear: one
     photon cannot trigger both detectors, and equal-offset pairs are removed
     by the heterodyne stage, so only cross-arm terms survive.
     """
-    up = ModeLabel(pol, PathTag.U)
-    down = ModeLabel(pol, PathTag.D)
-    ei = fields.port(det_i)
-    ej = fields.port(det_j)
-    return ei.amplitude(up) * ej.amplitude(down) + ei.amplitude(down) * ej.amplitude(up)
+    delta_f = np.asarray(delta_f, dtype=float)
+    tau1 = np.asarray(tau1, dtype=float)
+    tau2 = np.asarray(tau2, dtype=float)
+    u = np.exp(1j * delta_f * (tau1 + tau2))
+    d = np.exp(-1j * delta_f * (tau1 + tau2))
+    i_up, i_down = _PORT_COEFFS[port_i]
+    j_up, j_down = _PORT_COEFFS[port_j]
+    amp = (i_up * u) * (j_down * d) + (i_down * d) * (j_up * u)
+    out = np.abs(amp) ** 2
+    return out if out.ndim else float(out)
 
 
 def coincidence_r13(delta_f, tau1, tau2):
@@ -130,27 +137,12 @@ def coincidence_r13(delta_f, tau1, tau2):
     not asserted: the returned value is |pairing sum|^2 computed in floating
     point, which is 0.0 for every argument.
     """
-    delta_f = np.asarray(delta_f, dtype=float)
-    tau1 = np.asarray(tau1, dtype=float)
-    tau2 = np.asarray(tau2, dtype=float)
-    u = np.exp(1j * delta_f * (tau1 + tau2))
-    d = np.exp(-1j * delta_f * (tau1 + tau2))
-    # port 1 coefficients (up, down) and port 3 coefficients, magnitude 1/2
-    amp = (0.5j * u) * (0.5 * d) + (0.5j * d) * (-0.5 * u)
-    out = np.abs(amp) ** 2
-    return out if out.ndim else float(out)
+    return _cross_port_rate(1, 3, delta_f, tau1, tau2)
 
 
 def coincidence_r24(delta_f, tau1, tau2):
     """Coincidence rate between the two V ports; identically zero (see r13)."""
-    delta_f = np.asarray(delta_f, dtype=float)
-    tau1 = np.asarray(tau1, dtype=float)
-    tau2 = np.asarray(tau2, dtype=float)
-    u = np.exp(1j * delta_f * (tau1 + tau2))
-    d = np.exp(-1j * delta_f * (tau1 + tau2))
-    amp = (0.5 * u) * (-0.5j * d) + (-0.5 * d) * (-0.5j * u)
-    out = np.abs(amp) ** 2
-    return out if out.ndim else float(out)
+    return _cross_port_rate(2, 4, delta_f, tau1, tau2)
 
 
 def classical_baseline_g2(phase_samples: int = 360) -> float:

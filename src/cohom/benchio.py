@@ -228,14 +228,18 @@ def parse_config(text: str):
                 + ", ".join(missing))
         start = _as_float(scan_toks[0])
         stop = _as_float(scan_toks[1])
+        for key, tok, bound in zip(_SCAN_KEYS, scan_toks, (start, stop)):
+            if not math.isfinite(bound):
+                raise ConfigParseError(f"{key}: must be finite",
+                                       tok.line, tok.column)
+            if tau1 + bound < 0:
+                raise ConfigParseError(
+                    "scan would make tau2 = tau1 + tau21 negative",
+                    tok.line, tok.column)
         steps = _as_int(scan_toks[2])
         if steps < 1:
             raise ConfigParseError("scan steps must be >= 1",
                                    scan_toks[2].line, scan_toks[2].column)
-        if tau1 + min(start, stop) < 0:
-            raise ConfigParseError(
-                "scan would make tau2 = tau1 + tau21 negative",
-                scan_toks[0].line, scan_toks[0].column)
         scan = ScanSpec(start, stop, steps)
         tau2 = tau1 + start
 
@@ -486,16 +490,6 @@ def render_results(result: RunResult, fmt: str) -> str:
     if fmt == "json":
         return render_results_json(result)
     raise ValueError(f"unknown format '{fmt}'")
-
-
-def write_results(result: RunResult, path, fmt: str) -> None:
-    """Write the result table to ``path``; I/O errors carry the path."""
-    text = render_results(result, fmt)
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-    except OSError as exc:
-        raise BenchIOError(f"{path}: {exc}") from exc
 
 
 def _row_from_values(values: list) -> ResultRow:

@@ -16,6 +16,7 @@ configuration error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -33,25 +34,39 @@ from .benchio import (
     render_results,
     resolve_seed,
     simulation_rows,
-    write_results,
 )
 from .montecarlo import ConfigError, ScanPoint, scan_tau21, simulate_run
 from .validation import run_validation
-
-_SCAN_WORKERS = min(8, os.cpu_count() or 1)
 
 COMBO_CSV_HEADER = "path_1,path_2,pol_1,pol_2,port_a,port_b,classification"
 
 
 def _emit(text: str, out_path) -> None:
+    """Write ``text`` to stdout, or whole or not at all to ``out_path``.
+
+    A file target is written as a temporary file beside it, which then
+    replaces the target, so a failed write leaves an existing target
+    untouched and removes the temporary file.  A device or a pipe (such
+    as /dev/stdout) cannot be renamed over and is written directly.
+    """
     if out_path is None:
         sys.stdout.write(text)
         return
+    atomic = os.path.isfile(out_path) or not os.path.exists(out_path)
+    target = os.path.realpath(out_path) if atomic else out_path
+    written = f"{target}.{os.getpid()}.tmp" if atomic else target
     try:
-        with open(out_path, "w", encoding="utf-8") as handle:
+        with open(written, "x" if atomic else "w", encoding="utf-8",
+                  newline="") as handle:
             handle.write(text)
+        if atomic:
+            os.replace(written, target)
     except OSError as exc:
         raise BenchIOError(f"{out_path}: {exc}") from exc
+    finally:
+        if atomic:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(written)
 
 
 def _progress(args):
@@ -121,15 +136,16 @@ def render_report(results, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _load_config(args, want_scan: bool):
+def _load_config(args):
     config, scan = read_config(args.config)
-    seed = resolve_seed(args.seed, os.environ, config.seed)
-    config = replace(config, seed=seed)
-    if want_scan and scan is None:
+    if "seed" in args:
+        config = replace(config, seed=resolve_seed(args.seed, os.environ,
+                                                   config.seed))
+    if args.command != "simulate" and scan is None:
         raise ConfigParseError(
             "this command scans tau21; the config must set the "
             "tau21_scan_* keys instead of tau2_s")
-    if not want_scan and scan is not None:
+    if args.command == "simulate" and scan is not None:
         raise ConfigParseError(
             "this command runs a single point; the config must set tau2_s, "
             "not the tau21_scan_* keys")
@@ -146,62 +162,26 @@ def cmd_chart(args) -> int:
     return 0
 
 
-def cmd_analytic(args) -> int:
+def cmd_table(args) -> int:
+    """analytic, simulate and scan: one result row per delay point."""
     progress = _progress(args)
-    config, scan = _load_config(args, want_scan=True)
-    values = scan.values()
-    progress(f"analytic: {len(values)} scan points")
+    config, scan = _load_config(args)
+    values = [config.tau2 - config.tau1] if scan is None else scan.values()
     started = time.perf_counter()
-    rows = analytic_rows(config, values)
-    manifest = make_manifest("analytic", config, scan,
-                             time.perf_counter() - started)
-    result = RunResult(rows=tuple(rows), manifest=manifest)
-    if args.out is None:
-        sys.stdout.write(render_results(result, args.format))
+    if args.command == "analytic":
+        progress(f"analytic: {len(values)} scan points")
+        rows = analytic_rows(config, values)
     else:
-        write_results(result, args.out, args.format)
-    progress("analytic: done")
-    return 0
-
-
-def cmd_simulate(args) -> int:
-    progress = _progress(args)
-    config, _ = _load_config(args, want_scan=False)
-    progress(f"simulate: {config.n_pairs} pairs, mode={config.mode}, "
-             f"seed={config.seed}")
-    started = time.perf_counter()
-    counts = simulate_run(config)
+        progress(f"{args.command}: {len(values)} point(s) x {config.n_pairs} "
+                 f"pairs, mode={config.mode}, seed={config.seed}")
+        points = (scan_tau21(config, values) if scan is not None else
+                  [ScanPoint(values[0], config, simulate_run(config))])
+        rows = simulation_rows(points)
     elapsed = time.perf_counter() - started
-    point = ScanPoint(config.tau2 - config.tau1, config, counts)
-    rows = simulation_rows([point])
-    manifest = make_manifest("simulate", config, None, elapsed)
-    result = RunResult(rows=tuple(rows), manifest=manifest)
-    if args.out is None:
-        sys.stdout.write(render_results(result, args.format))
-    else:
-        write_results(result, args.out, args.format)
-    progress(f"simulate: done in {elapsed:.2f}s")
-    return 0
-
-
-def cmd_scan(args) -> int:
-    progress = _progress(args)
-    config, scan = _load_config(args, want_scan=True)
-    values = scan.values()
-    progress(f"scan: {len(values)} points x {config.n_pairs} pairs, "
-             f"mode={config.mode}, seed={config.seed}, "
-             f"workers={_SCAN_WORKERS}")
-    started = time.perf_counter()
-    points = scan_tau21(config, values, workers=_SCAN_WORKERS)
-    elapsed = time.perf_counter() - started
-    rows = simulation_rows(points)
-    manifest = make_manifest("scan", config, scan, elapsed)
-    result = RunResult(rows=tuple(rows), manifest=manifest)
-    if args.out is None:
-        sys.stdout.write(render_results(result, args.format))
-    else:
-        write_results(result, args.out, args.format)
-    progress(f"scan: done in {elapsed:.2f}s")
+    manifest = make_manifest(args.command, config, scan, elapsed)
+    _emit(render_results(RunResult(tuple(rows), manifest), args.format),
+          args.out)
+    progress(f"{args.command}: done in {elapsed:.2f}s")
     return 0
 
 
@@ -249,12 +229,11 @@ def build_parser() -> argparse.ArgumentParser:
     add("enumerate", cmd_enumerate,
         "print the 16-row pair-allocation table")
     add("chart", cmd_chart, "print the 4x4 detector pairing chart")
-    add("analytic", cmd_analytic,
-        "closed-form columns over the configured delay scan",
+    add("analytic", cmd_table,
+        "closed-form columns over the configured delay scan", config=True)
+    add("simulate", cmd_table, "Monte Carlo run at a single delay point",
         config=True, seed=True)
-    add("simulate", cmd_simulate, "Monte Carlo run at a single delay point",
-        config=True, seed=True)
-    add("scan", cmd_scan, "Monte Carlo runs across the configured delay scan",
+    add("scan", cmd_table, "Monte Carlo runs across the configured delay scan",
         config=True, seed=True)
     add("validate", cmd_validate, "run the internal consistency suite",
         perturb=True)

@@ -33,11 +33,12 @@ Two simulation modes:
     floor g2 = 0.5 and calibrates the quantum-vs-classical contrast.
     Slots are simulated in fixed-size chunks, chunk ``i`` drawing from
     the substream ``SeedSequence(seed, spawn_key=(i,))``; chunk results
-    are merged by integer addition as they finish, so serial and
-    parallel execution are bit-identical.
+    are merged by integer addition as each one finishes, so memory stays
+    bounded by one chunk.
 
-Runs are deterministic: the same config gives the same counts for any
-``workers`` count.
+Runs are deterministic: the same config gives the same counts.  A delay
+scan derives one seed per point, so its points may run on any number of
+threads without changing a count.
 """
 
 from __future__ import annotations
@@ -275,7 +276,6 @@ class CountsAccumulator:
 
     singles: dict
     coincidences: dict
-    histogram: dict
     n_generated: int = 0
     n_postselected: int = 0
 
@@ -284,7 +284,6 @@ class CountsAccumulator:
         return CountsAccumulator(
             singles={k: 0 for k in DETECTORS},
             coincidences={p: 0 for p in DETECTOR_PAIRS},
-            histogram={},
         )
 
     def merge(self, other: "CountsAccumulator") -> "CountsAccumulator":
@@ -293,14 +292,9 @@ class CountsAccumulator:
             self.singles[k] = self.singles.get(k, 0) + v
         for p, v in other.coincidences.items():
             self.coincidences[p] = self.coincidences.get(p, 0) + v
-        for b, v in other.histogram.items():
-            self.histogram[b] = self.histogram.get(b, 0) + v
         self.n_generated += other.n_generated
         self.n_postselected += other.n_postselected
         return self
-
-    def total_coincidences(self) -> int:
-        return sum(self.coincidences.values())
 
 
 class G2Estimate(NamedTuple):
@@ -391,12 +385,11 @@ def _classical_chunk(config, rng, n) -> CountsAccumulator:
     """Simulate n slots in classical intensity-sampling mode."""
     acc = CountsAccumulator.empty()
     delta = sample_detuning(rng, config.sigma_f, n)
-    prob = np.stack(
-        [config.mean_photon_number
-         * local_intensity(k, delta, config.tau1, config.tau2)
-         for k in DETECTORS],
-        axis=1,
-    )
+    # ports 4 and 3 evaluate the same expressions as ports 1 and 2
+    i1, i2 = (config.mean_photon_number
+              * local_intensity(k, delta, config.tau1, config.tau2)
+              for k in (1, 2))
+    prob = np.stack([i1, i2, i2, i1], axis=1)
     clicks = rng.random((n, 4)) < prob
     times = detector_convolve(np.zeros((n, 4)), rng, config.pulse_sigma)
 
@@ -420,49 +413,33 @@ def _classical_chunk(config, rng, n) -> CountsAccumulator:
     return acc
 
 
-def _classical_run(config, workers) -> CountsAccumulator:
+def _classical_run(config) -> CountsAccumulator:
     """Classical slots in fixed-size chunks, merged as each one finishes.
 
     Chunk ``i`` draws from ``SeedSequence(seed, spawn_key=(i,))``, the
     stream ``SeedSequence(seed).spawn(n)[i]`` would hand out, derived on
     demand so that no per-chunk state is built before the first chunk.
-    A pool keeps at most a few chunks per worker in flight.
     """
-    n_chunks = -(-config.n_pairs // CHUNK_SIZE)
-
-    def run_chunk(idx: int) -> CountsAccumulator:
-        stream = np.random.SeedSequence(config.seed, spawn_key=(idx,))
-        size = min(CHUNK_SIZE, config.n_pairs - idx * CHUNK_SIZE)
-        return _classical_chunk(config, np.random.default_rng(stream), size)
-
     total = CountsAccumulator.empty()
-    if workers <= 1:
-        for idx in range(n_chunks):
-            total.merge(run_chunk(idx))
-        return total
-    batch = 4 * workers
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for start in range(0, n_chunks, batch):
-            stop = min(start + batch, n_chunks)
-            for part in pool.map(run_chunk, range(start, stop)):
-                total.merge(part)
+    for start in range(0, config.n_pairs, CHUNK_SIZE):
+        stream = np.random.SeedSequence(
+            config.seed, spawn_key=(start // CHUNK_SIZE,))
+        size = min(CHUNK_SIZE, config.n_pairs - start)
+        total.merge(_classical_chunk(config, np.random.default_rng(stream),
+                                     size))
     return total
 
 
-def simulate_run(config: RunConfig, workers: int = 1) -> CountsAccumulator:
+def simulate_run(config: RunConfig) -> CountsAccumulator:
     """Run the full simulation described by ``config``.
 
     Amplitude mode draws the exact counts of the whole run in one pass;
-    classical mode simulates chunks of slots on up to ``workers`` threads.
-    Both merge by integer addition, so the outcome is bit-identical for
-    any ``workers`` count and across reruns with the same config.
+    classical mode simulates and merges chunks of slots in order.  The
+    outcome is bit-identical across reruns with the same config.
     """
     if config.mode == "amplitude":
-        total = _amplitude_run(config)
-    else:
-        total = _classical_run(config, workers)
-    total.histogram[config.tau2 - config.tau1] = total.total_coincidences()
-    return total
+        return _amplitude_run(config)
+    return _classical_run(config)
 
 
 @dataclass(frozen=True)

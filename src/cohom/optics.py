@@ -14,8 +14,8 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import dataclass, field as dataclass_field
-from typing import Iterator, Mapping
+from dataclasses import dataclass
+from typing import Mapping
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -30,11 +30,6 @@ class PathTag(enum.Enum):
 
     U = "U"
     D = "D"
-
-
-# Frequency-offset sign per arm: the up arm is shifted by +delta_f,
-# the down arm by -delta_f.
-DETUNE_SIGN: Mapping[PathTag, int] = {PathTag.U: +1, PathTag.D: -1}
 
 
 @dataclass(frozen=True, order=True)
@@ -62,16 +57,13 @@ class PathAssignmentError(ValueError):
 
 @dataclass(frozen=True)
 class PhotonField:
-    """Immutable four-mode amplitude vector with per-arm delay bookkeeping.
+    """Immutable four-mode amplitude vector.
 
     Attributes:
         amps: amplitudes ordered as MODE_LABELS (H^U, H^D, V^U, V^D).
-        delay_u, delay_d: accumulated stage delay seen by each arm, seconds.
     """
 
     amps: tuple[complex, complex, complex, complex]
-    delay_u: float = 0.0
-    delay_d: float = 0.0
 
     # -- constructors ------------------------------------------------------
 
@@ -100,25 +92,12 @@ class PhotonField:
     def amplitude(self, label: ModeLabel) -> complex:
         return self.amps[_INDEX[label]]
 
-    @property
-    def amplitudes(self) -> dict[ModeLabel, complex]:
-        return {label: self.amps[i] for i, label in enumerate(_INDEX)}
-
-    def detune_sign(self, path: PathTag) -> int:
-        return DETUNE_SIGN[path]
-
-    def accumulated_delay(self, path: PathTag) -> float:
-        return self.delay_u if path is PathTag.U else self.delay_d
-
     def paths_present(self) -> set[PathTag]:
         present = set()
         for label, i in _INDEX.items():
             if self.amps[i] != 0:
                 present.add(label.path)
         return present
-
-    def __iter__(self) -> Iterator[tuple[ModeLabel, complex]]:
-        return iter((label, self.amps[i]) for label, i in _INDEX.items())
 
     # -- derived scalars ---------------------------------------------------
 
@@ -154,9 +133,7 @@ def hwp_transform(field: PhotonField, theta: float) -> PhotonField:
     s = math.sin(2.0 * theta)
     hu, hd, vu, vd = field.amps
     return PhotonField(
-        (c * hu + s * vu, c * hd + s * vd, s * hu - c * vu, s * hd - c * vd),
-        field.delay_u,
-        field.delay_d,
+        (c * hu + s * vu, c * hd + s * vd, s * hu - c * vu, s * hd - c * vd)
     )
 
 
@@ -168,12 +145,7 @@ def bs_transform(in_a: PhotonField, in_b: PhotonField) -> tuple[PhotonField, Pho
     """
     out1 = tuple((1j * a + b) / _SQRT2 for a, b in zip(in_a.amps, in_b.amps))
     out2 = tuple((a + 1j * b) / _SQRT2 for a, b in zip(in_a.amps, in_b.amps))
-    delay_u = max(in_a.delay_u, in_b.delay_u)
-    delay_d = max(in_a.delay_d, in_b.delay_d)
-    return (
-        PhotonField(out1, delay_u, delay_d),
-        PhotonField(out2, delay_u, delay_d),
-    )
+    return PhotonField(out1), PhotonField(out2)
 
 
 def pbs_route(in_a: PhotonField, in_b: PhotonField) -> tuple[PhotonField, PhotonField]:
@@ -184,10 +156,8 @@ def pbs_route(in_a: PhotonField, in_b: PhotonField) -> tuple[PhotonField, Photon
     """
     a_hu, a_hd, a_vu, a_vd = in_a.amps
     b_hu, b_hd, b_vu, b_vd = in_b.amps
-    delay_u = max(in_a.delay_u, in_b.delay_u)
-    delay_d = max(in_a.delay_d, in_b.delay_d)
-    port1 = PhotonField((a_hu, a_hd, 1j * b_vu, 1j * b_vd), delay_u, delay_d)
-    port2 = PhotonField((b_hu, b_hd, 1j * a_vu, 1j * a_vd), delay_u, delay_d)
+    port1 = PhotonField((a_hu, a_hd, 1j * b_vu, 1j * b_vd))
+    port2 = PhotonField((b_hu, b_hd, 1j * a_vu, 1j * a_vd))
     return port1, port2
 
 
@@ -195,17 +165,12 @@ def detune_phase(field: PhotonField, delta_f: float, tau: float) -> PhotonField:
     """Advance the frequency-offset phase of every component by one stage.
 
     Each component picks up e^{i * sign(path) * delta_f * tau}; delta_f is an
-    angular frequency (rad/s) and tau the stage delay in seconds.  The per-arm
-    accumulated delay is advanced by tau.
+    angular frequency (rad/s) and tau the stage delay in seconds.
     """
     up = cmath.exp(1j * delta_f * tau)
     down = cmath.exp(-1j * delta_f * tau)
     hu, hd, vu, vd = field.amps
-    return PhotonField(
-        (hu * up, hd * down, vu * up, vd * down),
-        field.delay_u + tau,
-        field.delay_d + tau,
-    )
+    return PhotonField((hu * up, hd * down, vu * up, vd * down))
 
 
 def with_path(field: PhotonField, tag: PathTag) -> PhotonField:
@@ -216,8 +181,8 @@ def with_path(field: PhotonField, tag: PathTag) -> PhotonField:
     h = field.amps[0] + field.amps[1]
     v = field.amps[2] + field.amps[3]
     if tag is PathTag.U:
-        return PhotonField((h, 0j, v, 0j), field.delay_u, field.delay_d)
-    return PhotonField((0j, h, 0j, v), field.delay_u, field.delay_d)
+        return PhotonField((h, 0j, v, 0j))
+    return PhotonField((0j, h, 0j, v))
 
 
 def nmzi_transfer(
@@ -251,81 +216,14 @@ def nmzi_transfer(
     u1 = cmath.exp(1j * delta_f * tau1)
     d1 = cmath.exp(-1j * delta_f * tau1)
     # up arm gets i/sqrt2, down arm 1/sqrt2; the combiner reflects V with i.
-    port_a = PhotonField(
-        (0j, h * d1 / _SQRT2, -v * u1 / _SQRT2, 0j),
-        field.delay_u + tau1,
-        field.delay_d + tau1,
-    )
-    port_b = PhotonField(
-        (1j * h * u1 / _SQRT2, 0j, 0j, 1j * v * d1 / _SQRT2),
-        field.delay_u + tau1,
-        field.delay_d + tau1,
-    )
+    port_a = PhotonField((0j, h * d1 / _SQRT2, -v * u1 / _SQRT2, 0j))
+    port_b = PhotonField((1j * h * u1 / _SQRT2, 0j, 0j, 1j * v * d1 / _SQRT2))
     return port_a, port_b
 
 
 # ---------------------------------------------------------------------------
 # bench layout
 # ---------------------------------------------------------------------------
-
-
-class ElementKind(enum.Enum):
-    HWP = "hwp"
-    BS = "bs"
-    PBS = "pbs"
-    AOM = "aom"
-    DELAY = "delay"
-    NMZI = "nmzi"
-    DETECTOR = "detector"
-
-
-_ARITY = {
-    ElementKind.HWP: (1, 1),
-    ElementKind.BS: (2, 2),
-    ElementKind.PBS: (2, 2),
-    ElementKind.AOM: (1, 1),
-    ElementKind.DELAY: (1, 1),
-    ElementKind.NMZI: (1, 2),
-    ElementKind.DETECTOR: (1, 0),
-}
-
-
-@dataclass(frozen=True)
-class ElementSpec:
-    """Wiring record for one bench element (data, not behavior)."""
-
-    kind: ElementKind
-    in_ports: tuple[str, ...]
-    out_ports: tuple[str, ...]
-    params: Mapping[str, float] = dataclass_field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        n_in, n_out = _ARITY[self.kind]
-        if len(self.in_ports) != n_in or len(self.out_ports) != n_out:
-            raise ValueError(
-                f"{self.kind.value} takes {n_in} input(s) and {n_out} output(s), "
-                f"got {len(self.in_ports)}/{len(self.out_ports)}"
-            )
-
-
-def standard_bench(theta: float = math.pi / 8) -> tuple[ElementSpec, ...]:
-    """Element list of the double-interferometer bench, source to detectors."""
-    return (
-        ElementSpec(ElementKind.HWP, ("src",), ("hwp_out",), {"theta": theta}),
-        ElementSpec(ElementKind.NMZI, ("hwp_out",), ("port_a", "port_b")),
-        ElementSpec(ElementKind.PBS, ("port_a", "vac_a"), ("rail_a1", "rail_a2")),
-        ElementSpec(ElementKind.PBS, ("port_b", "vac_b"), ("rail_b3", "rail_b4")),
-        ElementSpec(ElementKind.DELAY, ("rail_a1",), ("rail_a1d",), {"stage": 2}),
-        ElementSpec(ElementKind.DELAY, ("rail_a2",), ("rail_a2d",), {"stage": 2}),
-        ElementSpec(ElementKind.DELAY, ("rail_b3",), ("rail_b3d",), {"stage": 2}),
-        ElementSpec(ElementKind.DELAY, ("rail_b4",), ("rail_b4d",), {"stage": 2}),
-        ElementSpec(ElementKind.BS, ("rail_a1d", "rail_b3d"), ("d1", "d3")),
-        ElementSpec(ElementKind.BS, ("rail_a2d", "rail_b4d"), ("d2", "d4")),
-        ElementSpec(ElementKind.DETECTOR, ("d1",), (), {"ident": 1}),
-        ElementSpec(ElementKind.DETECTOR, ("d2",), (), {"ident": 2}),
-        ElementSpec(ElementKind.DETECTOR, ("d3",), (), {"ident": 3}),
-        ElementSpec(ElementKind.DETECTOR, ("d4",), (), {"ident": 4}),
-    )
 
 
 def bench_detector_fields(

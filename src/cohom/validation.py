@@ -25,7 +25,7 @@ from .analytic import (
     pair_chart,
     port_fields,
 )
-from .montecarlo import RunConfig, g2_estimate, simulate_run
+from .montecarlo import RunConfig, g2_estimate, scan_tau21, simulate_run
 from .optics import (
     PathTag,
     PhotonField,
@@ -270,9 +270,7 @@ def check_element_unitarity(perturb_bs: float = 0.0) -> CheckResult:
         if perturb_bs:
             # test hook: a splitter coefficient error must turn this red
             out1 = PhotonField(
-                tuple(o + perturb_bs * x for o, x in zip(out1.amps, a.amps)),
-                out1.delay_u, out1.delay_d,
-            )
+                tuple(o + perturb_bs * x for o, x in zip(out1.amps, a.amps)))
         worst = max(worst, abs(
             (out1.total_norm() + out2.total_norm()) / norm_in - 1.0))
 
@@ -334,9 +332,13 @@ def check_rerun_determinism() -> CheckResult:
                                 higher_order_ratio=0.01)
     first = simulate_run(config)
     mismatches = int(simulate_run(config) != first)
-    mismatches += int(simulate_run(config, workers=3) != first)
     classical = replace(config, mode="classical", mean_photon_number=0.5)
     mismatches += int(simulate_run(classical) != simulate_run(classical))
+    values = np.linspace(-5e-7, 5e-7, 5)
+    for scanned in (config, replace(classical, n_pairs=5_000)):
+        serial = [p.counts for p in scan_tau21(scanned, values)]
+        threaded = [p.counts for p in scan_tau21(scanned, values, workers=3)]
+        mismatches += int(serial != threaded)
     return _result("rerun-determinism", mismatches, 0,
                    "bit-identical reruns both serial and 3-worker")
 

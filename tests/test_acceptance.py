@@ -25,7 +25,7 @@ from cohom.analytic import (
     pair_chart,
     port_fields,
 )
-from cohom.montecarlo import RunConfig, g2_estimate, simulate_run
+from cohom.montecarlo import RunConfig, g2_estimate, scan_tau21, simulate_run
 from cohom.optics import (
     PathTag,
     PhotonField,
@@ -300,7 +300,13 @@ def test_statistical_machinery(report):
                                 seed=2024)
     first = simulate_run(config)
     rerun_identical = simulate_run(config) == first
-    parallel_identical = simulate_run(config, workers=4) == first
+    values = [-5e-7, 0.0, 5e-7]
+    parallel_identical = all(
+        [p.counts for p in scan_tau21(scanned, values)]
+        == [p.counts for p in scan_tau21(scanned, values, workers=3)]
+        for scanned in (config, replace(config, mode="classical",
+                                        mean_photon_number=0.5,
+                                        n_pairs=5_000)))
 
     violations = 0
     for seed in range(100):

@@ -15,6 +15,7 @@ from cohom.benchio import (
     ResultRow,
     RunResult,
     ScanSpec,
+    _SCAN_KEYS,
     _SCHEMA,
     analytic_rows,
     make_manifest,
@@ -26,7 +27,6 @@ from cohom.benchio import (
     render_results_json,
     resolve_seed,
     simulation_rows,
-    write_results,
 )
 from cohom.montecarlo import (
     ConfigError,
@@ -207,6 +207,85 @@ class TestParseErrors:
             "tau21_scan_steps = 3",
         )
         assert "negative" in str(self.err(text))
+
+    @pytest.mark.parametrize("key, line, column", [
+        ("tau21_scan_start_s", 4, 22), ("tau21_scan_stop_s", 5, 21)])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_scan_bound_position(self, key, line, column, value):
+        bounds = {"tau21_scan_start_s": "0", "tau21_scan_stop_s": "1e-7",
+                  key: value}
+        text = MINIMAL.replace(
+            "tau2_s = 2e-6",
+            "".join(f"{k} = {v}\n" for k, v in bounds.items())
+            + "tau21_scan_steps = 3")
+        err = self.err(text)
+        assert f"{key}: must be finite" in str(err)
+        assert (err.line, err.column) == (line, column)
+
+    def test_scan_negative_tau2_at_stop(self):
+        text = MINIMAL.replace(
+            "tau2_s = 2e-6",
+            "tau21_scan_start_s = 0\ntau21_scan_stop_s = -5e-6\n"
+            "tau21_scan_steps = 3",
+        )
+        err = self.err(text)
+        assert "negative" in str(err)
+        assert (err.line, err.column) == (5, 21)
+
+
+#: value tokens for numeric keys: plain numbers, the ones floats cannot
+#: hold, and text that is no number at all
+_NUMBER_TOKENS = st.one_of(
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "1e400", "-1e400",
+                     "1e-400", "0", "-0", "1", "-1", "0x10", "1_000",
+                     "2.5", "9223372036854775808", "true", "amplitude"]),
+    st.floats().map(repr),
+    st.integers(-2**70, 2**70).map(str),
+    st.text(st.characters(blacklist_characters="\r\n"), min_size=1,
+            max_size=8),
+)
+
+
+@st.composite
+def config_documents(draw):
+    """Documents over the config schema with arbitrary value tokens."""
+    lines = []
+    for section in draw(st.permutations(sorted(_SCHEMA))):
+        lines.append(f"[{section}]")
+        for key in draw(st.lists(st.sampled_from(_SCHEMA[section]),
+                                 unique=True)):
+            lines.append(f"{key} = {draw(_NUMBER_TOKENS)}")
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.text(st.characters(blacklist_characters="\r\n"),
+                                  max_size=12)))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def scan_documents(draw):
+    """Valid documents with arbitrary tokens in the scan and delay keys."""
+    base = render_config(RunConfig(sigma_f=1e6, tau1=1e-6, tau2=1e-6),
+                         ScanSpec(0.0, 1e-7, 3)).splitlines()
+    for key in ("tau1_s",) + _SCAN_KEYS:
+        if draw(st.booleans()):
+            at = next(i for i, line in enumerate(base)
+                      if line.startswith(key + " "))
+            base[at] = f"{key} = {draw(_NUMBER_TOKENS)}"
+    return "\n".join(base) + "\n"
+
+
+class TestParserFuzz:
+    @given(st.one_of(config_documents(), scan_documents()))
+    @settings(max_examples=400, deadline=None)
+    def test_only_config_parse_errors(self, text):
+        try:
+            config, scan = parse_config(text)
+        except ConfigParseError:
+            return
+        if scan is not None:
+            assert math.isfinite(scan.start) and math.isfinite(scan.stop)
+            assert config.tau1 + min(scan.start, scan.stop) >= 0
 
 
 @st.composite
@@ -398,16 +477,6 @@ class TestResultsSerialization:
         csv_row, = parse_results_csv(render_results_csv(result))
         assert render_results_csv(RunResult((parsed,), {})) == \
             render_results_csv(RunResult((csv_row,), {}))
-
-    def test_write_results_path_context(self, tmp_path):
-        result = sample_result()
-        target = tmp_path / "out.csv"
-        write_results(result, target, "csv")
-        assert target.read_text().startswith("tau21_s,")
-        missing_dir = tmp_path / "nope" / "out.csv"
-        with pytest.raises(BenchIOError) as err:
-            write_results(result, missing_dir, "csv")
-        assert str(missing_dir) in str(err.value)
 
     def test_float_rendering_significant_digits(self):
         row = ResultRow(tau21_s=1.23456789012345e-7, i1=0.5, i2=0.5, i3=0.5,

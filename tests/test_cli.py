@@ -1,11 +1,14 @@
 """Command-line behavior: exit codes, formats, seeds, stream separation."""
 
 import json
+import os
+import stat
+import threading
 
 import pytest
 
 from cohom.analytic import pair_chart
-from cohom.cli import main
+from cohom.cli import _emit, main
 
 POINT_CFG = """\
 [bench]
@@ -95,6 +98,11 @@ class TestAnalytic:
     def test_point_config_rejected(self, point_cfg, capsys):
         assert main(["analytic", "--config", point_cfg, "--quiet"]) == 2
         assert "tau21_scan_" in capsys.readouterr().err
+
+    def test_takes_no_seed(self, scan_cfg, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["analytic", "--config", scan_cfg, "--seed", "3"])
+        assert err.value.code == 2
 
 
 class TestSimulateAndScan:
@@ -197,6 +205,25 @@ class TestErrors:
         assert "line 7, column 11" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["analytic", "scan"])
+    @pytest.mark.parametrize("key, value, where", [
+        ("tau21_scan_start_s", "nan", "line 4, column 22"),
+        ("tau21_scan_stop_s", "nan", "line 5, column 21"),
+        ("tau21_scan_stop_s", "inf", "line 5, column 21"),
+        ("tau21_scan_start_s", "-inf", "line 4, column 22"),
+        ("tau21_scan_stop_s", "-5e-6", "line 5, column 21"),
+    ])
+    def test_bad_scan_bound_positioned(self, tmp_path, capsys, command, key,
+                                       value, where):
+        lines = [f"{key} = {value}" if line.startswith(key) else line
+                 for line in SCAN_CFG.splitlines()]
+        path = tmp_path / "bad.cfg"
+        path.write_text("\n".join(lines) + "\n")
+        assert main([command, "--config", str(path), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert where in err
+        assert "Traceback" not in err
+
     def test_usage_error_exit_2(self):
         with pytest.raises(SystemExit) as err:
             main(["enumerate", "--format", "xml"])
@@ -206,6 +233,53 @@ class TestErrors:
         target = tmp_path / "nodir" / "x.csv"
         assert main(["enumerate", "--out", str(target)]) == 2
         assert "x.csv" in capsys.readouterr().err
+
+
+class TestAtomicOut:
+    def test_failed_replace_keeps_target(self, point_cfg, tmp_path, capsys,
+                                         monkeypatch):
+        target = tmp_path / "run.csv"
+        target.write_text("previous\n")
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        code = main(["simulate", "--config", point_cfg, "--quiet",
+                     "--out", str(target)])
+        assert code == 2
+        assert "run.csv" in capsys.readouterr().err
+        assert target.read_text() == "previous\n"
+        assert sorted(os.listdir(tmp_path)) == ["point.cfg", "run.csv"]
+
+    def test_failed_write_keeps_target(self, tmp_path):
+        target = tmp_path / "out.csv"
+        target.write_text("previous\n")
+        with pytest.raises(UnicodeEncodeError):
+            _emit("half written \ud800", str(target))
+        assert target.read_text() == "previous\n"
+        assert os.listdir(tmp_path) == ["out.csv"]
+
+    def test_replaces_whole_target(self, tmp_path, capsys):
+        target = tmp_path / "chart.csv"
+        target.write_text("x" * 10_000)
+        assert main(["chart", "--out", str(target)]) == 0
+        assert main(["chart"]) == 0
+        assert target.read_text() == capsys.readouterr().out
+        assert os.listdir(tmp_path) == ["chart.csv"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs mkfifo")
+    def test_pipe_written_in_place(self, tmp_path):
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        received = []
+        reader = threading.Thread(
+            target=lambda: received.append(pipe.read_text()), daemon=True)
+        reader.start()
+        assert main(["enumerate", "--out", str(pipe)]) == 0
+        reader.join(10)
+        assert stat.S_ISFIFO(os.stat(pipe).st_mode)
+        assert received and received[0].startswith("path_1,path_2,")
 
 
 class TestValidate:
