@@ -21,17 +21,14 @@ from __future__ import annotations
 import json
 import math
 import platform
-from dataclasses import dataclass, fields as dataclass_fields
-from typing import Optional
+from dataclasses import MISSING, astuple, dataclass, fields as dataclass_fields
+from typing import Optional, get_type_hints
 
 import numpy as np
 
 from . import __version__
 from .analytic import coincidence_r13, coincidence_r24, ensemble_intensity
 from .montecarlo import ConfigError, RunConfig, g2_estimate
-
-CSV_HEADER = ("tau21_s,I1,I2,I3,I4,R13,R24,"
-              "g2_13,g2_13_err,g2_24,g2_24_err,n_coinc_13,n_coinc_24")
 
 ENV_SEED = "COHOM_SEED"
 
@@ -68,44 +65,6 @@ class _Token:
     text: str
     line: int
     column: int
-
-
-_SCHEMA = {
-    "bench": ("sigma_f_hz", "tau1_s", "tau2_s",
-              "tau21_scan_start_s", "tau21_scan_stop_s", "tau21_scan_steps"),
-    "source": ("mean_photon_number", "n_pairs", "higher_order_ratio"),
-    "detector": ("pulse_sigma_s", "coincidence_window_s"),
-    "run": ("seed", "mode", "heterodyne_filter"),
-}
-
-_SCAN_KEYS = ("tau21_scan_start_s", "tau21_scan_stop_s", "tau21_scan_steps")
-
-#: engine field -> (section, file key); used to re-attach positions to
-#: range errors raised by RunConfig validation.
-_FIELD_TO_KEY = {
-    "sigma_f": ("bench", "sigma_f_hz"),
-    "tau1": ("bench", "tau1_s"),
-    "tau2": ("bench", "tau2_s"),
-    "mean_photon_number": ("source", "mean_photon_number"),
-    "n_pairs": ("source", "n_pairs"),
-    "higher_order_ratio": ("source", "higher_order_ratio"),
-    "pulse_sigma": ("detector", "pulse_sigma_s"),
-    "coincidence_window": ("detector", "coincidence_window_s"),
-    "seed": ("run", "seed"),
-    "mode": ("run", "mode"),
-    "heterodyne_filter": ("run", "heterodyne_filter"),
-}
-
-_DEFAULTS = {
-    ("source", "mean_photon_number"): "0.1",
-    ("source", "n_pairs"): "100000",
-    ("source", "higher_order_ratio"): "0.01",
-    ("detector", "pulse_sigma_s"): "1e-9",
-    ("detector", "coincidence_window_s"): "8e-9",
-    ("run", "seed"): "0",
-    ("run", "mode"): "amplitude",
-    ("run", "heterodyne_filter"): "true",
-}
 
 
 def _tokenize(text: str) -> dict:
@@ -186,87 +145,110 @@ def _as_bool(tok: _Token) -> bool:
                            tok.line, tok.column)
 
 
+def _as_text(tok: _Token) -> str:
+    return tok.text
+
+
+#: file key -> (section, RunConfig field, reader), in the order keys are
+#: read.  A key the file omits takes the RunConfig default of its field;
+#: the fields without a default are required.
+_KEYS = {
+    "sigma_f_hz": ("bench", "sigma_f", _as_float),
+    "tau1_s": ("bench", "tau1", _as_float),
+    "tau2_s": ("bench", "tau2", _as_float),
+    "mean_photon_number": ("source", "mean_photon_number", _as_float),
+    "n_pairs": ("source", "n_pairs", _as_int),
+    "higher_order_ratio": ("source", "higher_order_ratio", _as_float),
+    "pulse_sigma_s": ("detector", "pulse_sigma", _as_float),
+    "coincidence_window_s": ("detector", "coincidence_window", _as_float),
+    "seed": ("run", "seed", _as_int),
+    "mode": ("run", "mode", _as_text),
+    "heterodyne_filter": ("run", "heterodyne_filter", _as_bool),
+}
+
+#: the delay scan, ScanSpec's fields in order; exclusive with tau2_s
+_SCAN_KEYS = ("tau21_scan_start_s", "tau21_scan_stop_s", "tau21_scan_steps")
+
+#: largest scan; every point is held in memory at once
+_MAX_SCAN_STEPS = 10**6
+
+#: section -> its file keys, in rendering order
+_SCHEMA = {
+    section: tuple(key for key, spec in _KEYS.items() if spec[0] == section)
+    + (_SCAN_KEYS if section == "bench" else ())
+    for section, _, _ in _KEYS.values()
+}
+
+_REQUIRED = {f.name for f in dataclass_fields(RunConfig)
+             if f.default is MISSING}
+
+
+def _read_delay(bench: dict, tau1: float) -> tuple:
+    """``(tau2, ScanSpec or None)`` from ``tau2_s`` or the scan trio."""
+    tau2_tok = bench.get("tau2_s")
+    scan_toks = [bench.get(k) for k in _SCAN_KEYS]
+    if tau2_tok is not None and any(scan_toks):
+        offender = next(t for t in scan_toks if t is not None)
+        raise ConfigParseError("tau21 scan keys are mutually exclusive "
+                               "with tau2_s", offender.line, offender.column)
+    if tau2_tok is not None:
+        return _as_float(tau2_tok), None
+    missing = [k for k, t in zip(_SCAN_KEYS, scan_toks) if t is None]
+    if missing:
+        raise ConfigParseError(
+            "either tau2_s or the full scan trio is required; missing: "
+            + ", ".join(missing))
+    start = _as_float(scan_toks[0])
+    stop = _as_float(scan_toks[1])
+    for key, tok, bound in zip(_SCAN_KEYS, scan_toks, (start, stop)):
+        if not math.isfinite(bound):
+            raise ConfigParseError(f"{key}: must be finite",
+                                   tok.line, tok.column)
+        if tau1 + bound < 0:
+            raise ConfigParseError(
+                "scan would make tau2 = tau1 + tau21 negative",
+                tok.line, tok.column)
+    steps_tok = scan_toks[2]
+    steps = _as_int(steps_tok)
+    if steps < 1:
+        raise ConfigParseError("scan steps must be >= 1",
+                               steps_tok.line, steps_tok.column)
+    if steps > _MAX_SCAN_STEPS:
+        raise ConfigParseError(f"scan steps must be <= {_MAX_SCAN_STEPS}",
+                               steps_tok.line, steps_tok.column)
+    return tau1 + start, ScanSpec(start, stop, steps)
+
+
 def parse_config(text: str):
     """Parse and validate a config document.
 
     Returns ``(RunConfig, ScanSpec or None)``.  ``tau2_s`` and the
     ``tau21_scan_*`` trio are mutually exclusive; with a scan, the
     returned config holds the first scan point's tau2.  Missing optional
-    keys take the documented defaults.
+    keys take RunConfig's defaults.
     """
     sections = _tokenize(text)
-
-    def lookup(section: str, key: str) -> Optional[_Token]:
-        tok = sections.get(section, {}).get(key)
-        if tok is None and (section, key) in _DEFAULTS:
-            return _Token(_DEFAULTS[(section, key)], 0, 0)
-        return tok
-
-    def demand(section: str, key: str) -> _Token:
-        tok = lookup(section, key)
-        if tok is None:
-            raise ConfigParseError(f"missing required key '{key}' in [{section}]")
-        return tok
-
-    sigma_f_hz = _as_float(demand("bench", "sigma_f_hz"))
-    tau1 = _as_float(demand("bench", "tau1_s"))
-
-    tau2_tok = sections.get("bench", {}).get("tau2_s")
-    scan_toks = [sections.get("bench", {}).get(k) for k in _SCAN_KEYS]
-    if tau2_tok is not None and any(scan_toks):
-        offender = next(t for t in scan_toks if t is not None)
-        raise ConfigParseError("tau21 scan keys are mutually exclusive "
-                               "with tau2_s", offender.line, offender.column)
+    values = {}
     scan = None
-    if tau2_tok is not None:
-        tau2 = _as_float(tau2_tok)
-    else:
-        missing = [k for k, t in zip(_SCAN_KEYS, scan_toks) if t is None]
-        if missing:
+    for key, (section, field, read) in _KEYS.items():
+        tok = sections.get(section, {}).get(key)
+        if key == "tau2_s":
+            values[field], scan = _read_delay(sections.get(section, {}),
+                                              values["tau1"])
+        elif tok is not None:
+            values[field] = read(tok)
+        elif field in _REQUIRED:
             raise ConfigParseError(
-                "either tau2_s or the full scan trio is required; missing: "
-                + ", ".join(missing))
-        start = _as_float(scan_toks[0])
-        stop = _as_float(scan_toks[1])
-        for key, tok, bound in zip(_SCAN_KEYS, scan_toks, (start, stop)):
-            if not math.isfinite(bound):
-                raise ConfigParseError(f"{key}: must be finite",
-                                       tok.line, tok.column)
-            if tau1 + bound < 0:
-                raise ConfigParseError(
-                    "scan would make tau2 = tau1 + tau21 negative",
-                    tok.line, tok.column)
-        steps = _as_int(scan_toks[2])
-        if steps < 1:
-            raise ConfigParseError("scan steps must be >= 1",
-                                   scan_toks[2].line, scan_toks[2].column)
-        scan = ScanSpec(start, stop, steps)
-        tau2 = tau1 + start
-
-    kwargs = dict(
-        sigma_f=2.0 * math.pi * sigma_f_hz,
-        tau1=tau1,
-        tau2=tau2,
-        mean_photon_number=_as_float(demand("source", "mean_photon_number")),
-        n_pairs=_as_int(demand("source", "n_pairs")),
-        higher_order_ratio=_as_float(demand("source", "higher_order_ratio")),
-        pulse_sigma=_as_float(demand("detector", "pulse_sigma_s")),
-        coincidence_window=_as_float(demand("detector", "coincidence_window_s")),
-        seed=_as_int(demand("run", "seed")),
-        mode=demand("run", "mode").text,
-        heterodyne_filter=_as_bool(demand("run", "heterodyne_filter")),
-    )
+                f"missing required key '{key}' in [{section}]")
+    values["sigma_f"] *= 2.0 * math.pi  # the file gives Hz, the engine rad/s
     try:
-        config = RunConfig(**kwargs)
+        config = RunConfig(**values)
     except ConfigError as err:
-        section, key = _FIELD_TO_KEY.get(err.field, (None, None))
-        tok = sections.get(section, {}).get(key) if section else None
-        detail = str(err)
-        if key is not None and detail.startswith(f"{err.field}: "):
-            detail = f"{key}: " + detail[len(err.field) + 2:]
-        if tok is not None:
-            raise ConfigParseError(detail, tok.line, tok.column) from None
-        raise ConfigParseError(detail) from None
+        key = next(k for k, spec in _KEYS.items() if spec[1] == err.field)
+        tok = sections.get(_KEYS[key][0], {}).get(key)
+        line, column = (tok.line, tok.column) if tok else (None, None)
+        detail = f"{key}: " + str(err).removeprefix(f"{err.field}: ")
+        raise ConfigParseError(detail, line, column) from None
     return config, scan
 
 
@@ -276,32 +258,28 @@ def render_config(config: RunConfig, scan: Optional[ScanSpec] = None) -> str:
     The only lossy step is the Hz <-> rad/s conversion of sigma_f (a
     divide-then-multiply round trip, accurate to a couple of ulp).
     """
-    lines = ["[bench]", f"sigma_f_hz = {config.sigma_f / (2.0 * math.pi)!r}",
-             f"tau1_s = {config.tau1!r}"]
-    if scan is None:
-        lines.append(f"tau2_s = {config.tau2!r}")
-    else:
-        lines.append(f"tau21_scan_start_s = {scan.start!r}")
-        lines.append(f"tau21_scan_stop_s = {scan.stop!r}")
-        lines.append(f"tau21_scan_steps = {scan.steps}")
-    lines += [
-        "",
-        "[source]",
-        f"mean_photon_number = {config.mean_photon_number!r}",
-        f"n_pairs = {config.n_pairs}",
-        f"higher_order_ratio = {config.higher_order_ratio!r}",
-        "",
-        "[detector]",
-        f"pulse_sigma_s = {config.pulse_sigma!r}",
-        f"coincidence_window_s = {config.coincidence_window!r}",
-        "",
-        "[run]",
-        f"seed = {config.seed}",
-        f"mode = {config.mode}",
-        f"heterodyne_filter = {'true' if config.heterodyne_filter else 'false'}",
-        "",
-    ]
+    values = {key: getattr(config, field)
+              for key, (_, field, _) in _KEYS.items()}
+    values["sigma_f_hz"] = config.sigma_f / (2.0 * math.pi)
+    if scan is not None:
+        del values["tau2_s"]
+        values.update(_scan_echo(scan))
+    lines = []
+    for section, keys in _SCHEMA.items():
+        lines.append(f"[{section}]")
+        lines += [f"{key} = {_config_value(values[key])}"
+                  for key in keys if key in values]
+        lines.append("")
     return "\n".join(lines)
+
+
+def _config_value(value) -> str:
+    # str() of a float is its repr, which parses back to the same float
+    return str(value).lower() if isinstance(value, bool) else str(value)
+
+
+def _scan_echo(scan: ScanSpec) -> dict:
+    return dict(zip(_SCAN_KEYS, astuple(scan)))
 
 
 def read_config(path) -> tuple:
@@ -334,7 +312,7 @@ def resolve_seed(cli_seed: Optional[int], environ, file_seed: int) -> int:
 
 @dataclass(frozen=True)
 class ResultRow:
-    """One scan point in the fixed column order of :data:`CSV_HEADER`."""
+    """One scan point; the field order is the column order of the table."""
 
     tau21_s: float
     i1: float
@@ -349,6 +327,18 @@ class ResultRow:
     g2_24_err: float
     n_coinc_13: int
     n_coinc_24: int
+
+
+#: (column name, ResultRow field, its type: int for a count, else float),
+#: in column order
+_COLUMNS = tuple(
+    (name, field, kind) for name, (field, kind) in zip(
+        ("tau21_s", "I1", "I2", "I3", "I4", "R13", "R24", "g2_13",
+         "g2_13_err", "g2_24", "g2_24_err", "n_coinc_13", "n_coinc_24"),
+        get_type_hints(ResultRow).items(), strict=True)
+)
+
+CSV_HEADER = ",".join(name for name, _, _ in _COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -435,10 +425,7 @@ def make_manifest(command: str, config: RunConfig,
         "seed": config.seed,
         "mode": config.mode,
         "config": config_echo,
-        "scan": (None if scan is None else
-                 {"tau21_scan_start_s": scan.start,
-                  "tau21_scan_stop_s": scan.stop,
-                  "tau21_scan_steps": scan.steps}),
+        "scan": None if scan is None else _scan_echo(scan),
         "engines": {"python": platform.python_version(),
                     "numpy": np.__version__},
         "wall_clock_s": round(wall_clock_s, 6),
@@ -448,32 +435,17 @@ def make_manifest(command: str, config: RunConfig,
 def render_results_csv(result: RunResult) -> str:
     lines = [CSV_HEADER]
     for row in result.rows:
-        lines.append(",".join([
-            _fmt(row.tau21_s),
-            _fmt(row.i1), _fmt(row.i2), _fmt(row.i3), _fmt(row.i4),
-            _fmt(row.r13), _fmt(row.r24),
-            _fmt(row.g2_13), _fmt(row.g2_13_err),
-            _fmt(row.g2_24), _fmt(row.g2_24_err),
-            str(row.n_coinc_13), str(row.n_coinc_24),
-        ]))
+        lines.append(",".join(
+            str(getattr(row, field)) if kind is int
+            else _fmt(getattr(row, field))
+            for _, field, kind in _COLUMNS))
     return "\n".join(lines) + "\n"
 
 
-_CSV_COLUMNS = CSV_HEADER.split(",")
-
-
 def _row_dict(row: ResultRow) -> dict:
-    return {
-        "tau21_s": _json_float(row.tau21_s),
-        "I1": _json_float(row.i1), "I2": _json_float(row.i2),
-        "I3": _json_float(row.i3), "I4": _json_float(row.i4),
-        "R13": _json_float(row.r13), "R24": _json_float(row.r24),
-        "g2_13": _json_float(row.g2_13),
-        "g2_13_err": _json_float(row.g2_13_err),
-        "g2_24": _json_float(row.g2_24),
-        "g2_24_err": _json_float(row.g2_24_err),
-        "n_coinc_13": row.n_coinc_13, "n_coinc_24": row.n_coinc_24,
-    }
+    return {name: getattr(row, field) if kind is int
+            else _json_float(getattr(row, field))
+            for name, field, kind in _COLUMNS}
 
 
 def render_results_json(result: RunResult) -> str:
@@ -493,15 +465,8 @@ def render_results(result: RunResult, fmt: str) -> str:
 
 
 def _row_from_values(values: list) -> ResultRow:
-    return ResultRow(
-        tau21_s=float(values[0]),
-        i1=float(values[1]), i2=float(values[2]),
-        i3=float(values[3]), i4=float(values[4]),
-        r13=float(values[5]), r24=float(values[6]),
-        g2_13=float(values[7]), g2_13_err=float(values[8]),
-        g2_24=float(values[9]), g2_24_err=float(values[10]),
-        n_coinc_13=int(values[11]), n_coinc_24=int(values[12]),
-    )
+    return ResultRow(**{field: kind(value) for (_, field, kind), value
+                        in zip(_COLUMNS, values)})
 
 
 def parse_results_csv(text: str) -> list:
@@ -512,8 +477,8 @@ def parse_results_csv(text: str) -> list:
     rows = []
     for line in lines[1:]:
         parts = line.split(",")
-        if len(parts) != len(_CSV_COLUMNS):
-            raise BenchIOError(f"expected {len(_CSV_COLUMNS)} columns, "
+        if len(parts) != len(_COLUMNS):
+            raise BenchIOError(f"expected {len(_COLUMNS)} columns, "
                                f"got {len(parts)}")
         rows.append(_row_from_values(parts))
     return rows
@@ -524,7 +489,7 @@ def parse_results_json(text: str) -> RunResult:
     payload = json.loads(text)
     rows = tuple(
         _row_from_values([math.nan if entry[name] is None else entry[name]
-                          for name in _CSV_COLUMNS])
+                          for name, _, _ in _COLUMNS])
         for entry in payload["rows"]
     )
     return RunResult(rows=rows, manifest=payload["manifest"])

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 import time
@@ -119,14 +120,16 @@ def render_report(results, fmt: str) -> str:
                 {
                     "name": r.name,
                     "status": "pass" if r.passed else "fail",
-                    "measured": r.measured,
+                    # strict JSON: a NaN measurement is null
+                    "measured": (r.measured if math.isfinite(r.measured)
+                                 else None),
                     "tolerance": r.tolerance,
                     "detail": r.detail,
                 }
                 for r in results
             ],
         }
-        return json.dumps(payload, indent=2) + "\n"
+        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
     lines = ["check,status,measured,tolerance,detail"]
     for r in results:
         status = "pass" if r.passed else "fail"

@@ -168,32 +168,6 @@ class RunConfig:
                      "must be <= 1 in classical mode (click probability)")
 
 
-@dataclass(frozen=True)
-class PairEvent:
-    """One doubly-bunched pair with its joint detector-outcome amplitudes."""
-
-    delta_f: float
-    global_phase: float
-    sector: PairSector
-    joint_amplitudes: dict
-
-    def outcome_probabilities(self) -> dict:
-        """Normalized probability of each unordered detector outcome.
-
-        Double occupations carry the bosonic weight |A|^2 / 2 (the pairing
-        sum double-counts the identical-mode term); the total over all
-        outcomes then normalizes to one.
-        """
-        weights = {}
-        for (i, j), amp in self.joint_amplitudes.items():
-            q = abs(amp) ** 2
-            if i == j:
-                q /= 2.0
-            weights[(i, j)] = q
-        total = sum(weights.values())
-        return {pair: q / total for pair, q in weights.items()}
-
-
 def sample_detuning(rng, sigma_f, size=None):
     """Draw detunings from Normal(0, sigma_f^2) truncated at +/-4 sigma.
 
@@ -213,8 +187,8 @@ def sample_detuning(rng, sigma_f, size=None):
     return float(out[0]) if size is None else out
 
 
-def pair_amplitudes(delta_f, tau1, tau2, global_phase, sector) -> PairEvent:
-    """Joint two-photon amplitudes for one pair in a given path sector.
+def pair_amplitudes(delta_f, tau1, tau2, global_phase, sector) -> dict:
+    """Joint two-photon amplitude of each outcome for one pair in a sector.
 
     Each photon, conditioned on its path tag, reaches detector k with the
     bench coefficient for that tag (renormalized by sqrt(2): one tag holds
@@ -226,10 +200,21 @@ def pair_amplitudes(delta_f, tau1, tau2, global_phase, sector) -> PairEvent:
     common = cmath.exp(1j * global_phase)
     psi_1 = {k: _SQRT2 * coeffs[k][sector.path_1] * common for k in DETECTORS}
     psi_2 = {k: _SQRT2 * coeffs[k][sector.path_2] * common for k in DETECTORS}
-    amps = {}
-    for i, j in OUTCOMES:
-        amps[(i, j)] = psi_1[i] * psi_2[j] + psi_1[j] * psi_2[i]
-    return PairEvent(delta_f, global_phase, sector, amps)
+    return {(i, j): psi_1[i] * psi_2[j] + psi_1[j] * psi_2[i]
+            for i, j in OUTCOMES}
+
+
+def outcome_probabilities(joint_amplitudes: dict) -> dict:
+    """Normalized probability of each unordered detector outcome.
+
+    Double occupations carry the bosonic weight |A|^2 / 2 (the pairing
+    sum double-counts the identical-mode term); the total over all
+    outcomes then normalizes to one.
+    """
+    weights = {(i, j): abs(amp) ** 2 / (2.0 if i == j else 1.0)
+               for (i, j), amp in joint_amplitudes.items()}
+    total = sum(weights.values())
+    return {pair: q / total for pair, q in weights.items()}
 
 
 def outcome_probability_table(cross_path: bool) -> np.ndarray:
@@ -242,7 +227,7 @@ def outcome_probability_table(cross_path: bool) -> np.ndarray:
     :func:`pair_amplitudes` at zero stands for every pair of the class.
     """
     sector = PairSector.UD if cross_path else PairSector.UU
-    probs = pair_amplitudes(0.0, 0.0, 0.0, 0.0, sector).outcome_probabilities()
+    probs = outcome_probabilities(pair_amplitudes(0.0, 0.0, 0.0, 0.0, sector))
     table = np.array([probs[o] for o in OUTCOMES])
     # Suppressed outcomes cancel only to float precision (~1e-33 at a
     # general detuning); a per-event sampler drawing uniforms on the

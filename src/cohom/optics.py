@@ -37,9 +37,6 @@ class ModeLabel:
     pol: Polarization
     path: PathTag
 
-    def __str__(self) -> str:
-        return f"{self.pol.value}^{self.path.value}"
-
 
 MODE_LABELS: tuple[ModeLabel, ...] = (
     ModeLabel(Polarization.H, PathTag.U),

@@ -65,6 +65,11 @@ def _result(name, measured, tolerance, detail=""):
                        float(tolerance), detail)
 
 
+def _worst(*values: float) -> float:
+    """The largest of ``values``; NaN if any is NaN, which ``max`` drops."""
+    return math.nan if any(math.isnan(v) for v in values) else max(values)
+
+
 def _random_field(rng) -> PhotonField:
     re = rng.standard_normal(4)
     im = rng.standard_normal(4)
@@ -83,7 +88,7 @@ def check_analytic_coincidence_zero() -> CheckResult:
         np.linspace(0.0, 5e-6, 50),
         indexing="ij",
     )
-    worst = max(
+    worst = _worst(
         float(np.max(np.abs(coincidence_r13(d, t1, t2)))),
         float(np.max(np.abs(coincidence_r24(d, t1, t2)))),
     )
@@ -134,7 +139,7 @@ def check_intensity_consistency() -> CheckResult:
                     closed = local_intensity(k, d, t1, t2)
                     field = intensity(getattr(ports, f"e{k}"))
                     err = abs(closed - field) / max(abs(closed), 1e-3)
-                    worst = max(worst, err)
+                    worst = _worst(worst, err)
     return _result("intensity-consistency", worst, 1e-12,
                    "closed-form vs field-pipeline intensity on a 10^3 grid")
 
@@ -148,8 +153,8 @@ def check_intensity_conservation() -> CheckResult:
     )
     s13 = local_intensity(1, d, t1, t2) + local_intensity(3, d, t1, t2)
     s24 = local_intensity(2, d, t1, t2) + local_intensity(4, d, t1, t2)
-    worst = max(float(np.max(np.abs(s13 - 1.0))),
-                float(np.max(np.abs(s24 - 1.0))))
+    worst = _worst(float(np.max(np.abs(s13 - 1.0))),
+                   float(np.max(np.abs(s24 - 1.0))))
     return _result("intensity-conservation", worst, 0.0,
                    "float-exact port-pair sums I1+I3 and I2+I4")
 
@@ -157,7 +162,7 @@ def check_intensity_conservation() -> CheckResult:
 def check_amplitude_singles(counts) -> CheckResult:
     n = counts.n_generated
     se = math.sqrt(n * 7.0 / 16.0)  # per-event detector-count variance
-    z = max(abs(counts.singles[k] - n / 2.0) / se for k in (1, 2, 3, 4))
+    z = _worst(*(abs(counts.singles[k] - n / 2.0) / se for k in (1, 2, 3, 4)))
     return _result("amplitude-singles", z, 5.0,
                    "singles distance to n/2 in standard errors")
 
@@ -174,7 +179,7 @@ def check_classical_singles() -> CheckResult:
         p = mu * ensemble_intensity(k, config.sigma_f, config.tau1,
                                     config.tau2)
         se = math.sqrt(n * p * (1.0 - p))
-        worst = max(worst, abs(counts.singles[k] - n * p) / se)
+        worst = _worst(worst, abs(counts.singles[k] - n * p) / se)
     return _result("classical-singles", worst, 5.0,
                    "fringe-resolved singles vs ensemble mean in standard errors")
 
@@ -194,7 +199,7 @@ def check_ensemble_quadrature() -> CheckResult:
         for k, sign in ((1, 1.0), (2, -1.0), (3, -1.0), (4, 1.0)):
             reference = 0.5 * (1.0 + sign * mean_cos)
             value = ensemble_intensity(k, sigma, tau1, tau2)
-            worst = max(worst, abs(value - reference))
+            worst = _worst(worst, abs(value - reference))
     return _result("ensemble-quadrature", worst, 1e-6,
                    "ensemble intensity vs Gauss-Hermite quadrature")
 
@@ -206,7 +211,7 @@ def check_uniform_limit() -> CheckResult:
     worst = 0.0
     for k in (1, 2, 3, 4):
         dev = np.abs(2.0 * ensemble_intensity(k, sigmas, tau1, tau2) - 1.0)
-        worst = max(worst, float(np.max(dev)))
+        worst = _worst(worst, float(np.max(dev)))
     return _result("uniform-limit", worst, 0.01,
                    "relative deviation from I0/2 at sigma*(tau1+tau2) >= 1.52")
 
@@ -271,20 +276,21 @@ def check_element_unitarity(perturb_bs: float = 0.0) -> CheckResult:
             # test hook: a splitter coefficient error must turn this red
             out1 = PhotonField(
                 tuple(o + perturb_bs * x for o, x in zip(out1.amps, a.amps)))
-        worst = max(worst, abs(
+        worst = _worst(worst, abs(
             (out1.total_norm() + out2.total_norm()) / norm_in - 1.0))
 
         p1, p2 = pbs_route(a, b)
-        worst = max(worst, abs(
+        worst = _worst(worst, abs(
             (p1.total_norm() + p2.total_norm()) / norm_in - 1.0))
 
         theta = rng.uniform(0.0, math.pi)
-        worst = max(worst, abs(
+        worst = _worst(worst, abs(
             hwp_transform(a, theta).total_norm() / a.total_norm() - 1.0))
 
         shifted = detune_phase(a, rng.uniform(-1e7, 1e7),
                                rng.uniform(0, 1e-5))
-        worst = max(worst, abs(shifted.total_norm() / a.total_norm() - 1.0))
+        worst = _worst(worst,
+                       abs(shifted.total_norm() / a.total_norm() - 1.0))
     return _result("element-unitarity", worst, 1e-12,
                    "norm conservation over 1000 random inputs per element")
 
@@ -292,7 +298,7 @@ def check_element_unitarity(perturb_bs: float = 0.0) -> CheckResult:
 def check_waveplate_balance() -> CheckResult:
     out = hwp_transform(PhotonField.from_jones(1.0, 0.0), math.pi / 8)
     target = 1.0 / math.sqrt(2.0)
-    worst = max(abs(out.amps[0] - target), abs(out.amps[2] - target))
+    worst = _worst(abs(out.amps[0] - target), abs(out.amps[2] - target))
     return _result("waveplate-balance", worst, 1e-12,
                    "22.5 degree plate maps H to an equal superposition")
 
@@ -320,7 +326,7 @@ def check_stage_composition() -> CheckResult:
             if abs(composed.amps[ref]) < 1e-12:
                 continue
             phase = direct.amps[ref] / composed.amps[ref]
-            worst = max(worst, max(
+            worst = _worst(worst, *(
                 abs(direct.amps[i] - phase * composed.amps[i])
                 for i in range(4)))
     return _result("stage-composition", worst, 1e-12,

@@ -1,5 +1,6 @@
 """Config-file parsing, seed precedence, and result serialization."""
 
+import dataclasses
 import json
 import math
 
@@ -15,6 +16,7 @@ from cohom.benchio import (
     ResultRow,
     RunResult,
     ScanSpec,
+    _MAX_SCAN_STEPS,
     _SCAN_KEYS,
     _SCHEMA,
     analytic_rows,
@@ -200,6 +202,18 @@ class TestParseErrors:
         )
         assert "steps" in str(self.err(text))
 
+    @pytest.mark.parametrize("value", [str(_MAX_SCAN_STEPS + 1), "1e12",
+                                       str(2**63)])
+    def test_scan_steps_maximum_position(self, value):
+        text = MINIMAL.replace(
+            "tau2_s = 2e-6",
+            "tau21_scan_start_s = 0\ntau21_scan_stop_s = 1e-7\n"
+            f"tau21_scan_steps = {value}",
+        )
+        err = self.err(text)
+        assert f"scan steps must be <= {_MAX_SCAN_STEPS}" in str(err)
+        assert (err.line, err.column) == (6, 20)
+
     def test_scan_negative_tau2_edge(self):
         text = MINIMAL.replace(
             "tau2_s = 2e-6",
@@ -238,7 +252,8 @@ class TestParseErrors:
 _NUMBER_TOKENS = st.one_of(
     st.sampled_from(["nan", "-nan", "inf", "-inf", "1e400", "-1e400",
                      "1e-400", "0", "-0", "1", "-1", "0x10", "1_000",
-                     "2.5", "9223372036854775808", "true", "amplitude"]),
+                     "2.5", "9223372036854775808", "true", "amplitude",
+                     "1e12", "1000001", "1000000"]),
     st.floats().map(repr),
     st.integers(-2**70, 2**70).map(str),
     st.text(st.characters(blacklist_characters="\r\n"), min_size=1,
@@ -286,6 +301,7 @@ class TestParserFuzz:
         if scan is not None:
             assert math.isfinite(scan.start) and math.isfinite(scan.stop)
             assert config.tau1 + min(scan.start, scan.stop) >= 0
+            assert 1 <= scan.steps <= _MAX_SCAN_STEPS
 
 
 @st.composite
@@ -484,3 +500,120 @@ class TestResultsSerialization:
                         g2_24=0.0, g2_24_err=0.0, n_coinc_13=0, n_coinc_24=0)
         line = render_results_csv(RunResult((row,), {})).splitlines()[1]
         assert line.split(",")[0] == "1.23456789012e-07"
+
+
+#: ResultRow with every float hypothesis draws (NaN, +-inf and -0.0
+#: included) and counts anywhere in [0, 2**63 - 1], near its top too
+result_rows = st.builds(
+    ResultRow,
+    **{name: st.one_of(st.integers(0, 2**63 - 1),
+                       st.integers(2**63 - 2**12, 2**63 - 1))
+       for name in ("n_coinc_13", "n_coinc_24")})
+
+ROW_FIELDS = [f.name for f in dataclasses.fields(ResultRow)]
+
+
+def assert_read_back(parsed, original, *, infinity_is_nan=False):
+    """``parsed`` holds ``original`` to the 12 rendered digits."""
+    for name in ROW_FIELDS:
+        got, want = getattr(parsed, name), getattr(original, name)
+        if isinstance(want, int):
+            assert got == want and isinstance(got, int), name
+        elif math.isnan(want) or (infinity_is_nan and math.isinf(want)):
+            assert math.isnan(got), name
+        else:
+            assert got == pytest.approx(want, rel=1e-11), name
+            assert math.copysign(1.0, got) == math.copysign(1.0, want), name
+
+
+class TestResultsRoundTrip:
+    @given(st.lists(result_rows, max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_csv(self, rows):
+        text = render_results_csv(RunResult(tuple(rows), {}))
+        parsed = parse_results_csv(text)
+        assert len(parsed) == len(rows)
+        for got, want in zip(parsed, rows):
+            assert_read_back(got, want)
+        assert render_results_csv(RunResult(tuple(parsed), {})) == text
+
+    @given(st.lists(result_rows, max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_json(self, rows):
+        text = render_results_json(RunResult(tuple(rows), {"seed": 1}))
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        json.loads(text, parse_constant=reject)
+        parsed = parse_results_json(text)
+        assert parsed.manifest == {"seed": 1}
+        assert len(parsed.rows) == len(rows)
+        for got, want in zip(parsed.rows, rows):
+            # strict JSON has no infinity; null stands for it, read as NaN
+            assert_read_back(got, want, infinity_is_nan=True)
+
+
+PINNED_ROWS = (
+    ResultRow(tau21_s=-1e-07, i1=0.5, i2=0.123456789012345, i3=1 / 3,
+              i4=0.0, r13=0.0, r24=2.5e-05, g2_13=0.0, g2_13_err=0.000125,
+              g2_24=math.nan, g2_24_err=math.nan, n_coinc_13=0,
+              n_coinc_24=5),
+    ResultRow(tau21_s=-0.0, i1=1.0, i2=12345678.9, i3=math.inf,
+              i4=-math.inf, r13=1e-300, r24=0.1 + 0.2, g2_13=0.5,
+              g2_13_err=0.0125, g2_24=1.0, g2_24_err=5e-324,
+              n_coinc_13=2**63 - 1, n_coinc_24=42),
+)
+
+PINNED_CSV = """\
+tau21_s,I1,I2,I3,I4,R13,R24,g2_13,g2_13_err,g2_24,g2_24_err,n_coinc_13,n_coinc_24
+-1e-07,0.5,0.123456789012,0.333333333333,0,0,2.5e-05,0,0.000125,nan,nan,0,5
+-0,1,12345678.9,inf,-inf,1e-300,0.3,0.5,0.0125,1,4.94065645841e-324,9223372036854775807,42
+"""
+
+PINNED_JSON = """\
+{
+  "manifest": {
+    "command": "scan",
+    "seed": 3
+  },
+  "rows": [
+    {
+      "tau21_s": -1e-07,
+      "I1": 0.5,
+      "I2": 0.123456789012,
+      "I3": 0.333333333333,
+      "I4": 0.0,
+      "R13": 0.0,
+      "R24": 2.5e-05,
+      "g2_13": 0.0,
+      "g2_13_err": 0.000125,
+      "g2_24": null,
+      "g2_24_err": null,
+      "n_coinc_13": 0,
+      "n_coinc_24": 5
+    },
+    {
+      "tau21_s": -0.0,
+      "I1": 1.0,
+      "I2": 12345678.9,
+      "I3": null,
+      "I4": null,
+      "R13": 1e-300,
+      "R24": 0.3,
+      "g2_13": 0.5,
+      "g2_13_err": 0.0125,
+      "g2_24": 1.0,
+      "g2_24_err": 5e-324,
+      "n_coinc_13": 9223372036854775807,
+      "n_coinc_24": 42
+    }
+  ]
+}
+"""
+
+
+def test_pinned_result_text():
+    result = RunResult(PINNED_ROWS, {"command": "scan", "seed": 3})
+    assert render_results_csv(result) == PINNED_CSV
+    assert render_results_json(result) == PINNED_JSON

@@ -224,6 +224,16 @@ class TestErrors:
         assert where in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["analytic", "scan"])
+    def test_huge_scan_steps_positioned(self, tmp_path, capsys, command):
+        path = tmp_path / "bad.cfg"
+        path.write_text(SCAN_CFG.replace("tau21_scan_steps = 5",
+                                         "tau21_scan_steps = 1000000000000"))
+        assert main([command, "--config", str(path), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "line 6, column 20: scan steps must be <= 1000000" in err
+        assert "Traceback" not in err
+
     def test_usage_error_exit_2(self):
         with pytest.raises(SystemExit) as err:
             main(["enumerate", "--format", "xml"])
@@ -297,6 +307,19 @@ class TestValidate:
         assert code == 1
         report = capsys.readouterr().out
         assert "element-unitarity,fail," in report
+
+    def test_nan_perturbation_fails(self, capsys):
+        code = main(["validate", "--quiet", "--perturb-bs", "nan",
+                     "--format", "json"])
+        assert code == 1
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+        check, = [c for c in payload["checks"]
+                  if c["name"] == "element-unitarity"]
+        assert check["status"] == "fail" and check["measured"] is None
 
     def test_progress_on_stderr(self, capsys):
         assert main(["enumerate"]) == 0
