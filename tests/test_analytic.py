@@ -5,6 +5,7 @@ consistency), scipy quadrature (for Gaussian ensemble averages), and
 explicit two-term complex sums (for the cross-port cancellations).
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -12,6 +13,8 @@ import pytest
 from scipy import integrate
 
 from cohom.analytic import (
+    _PORT_COEFFS,
+    _PORT_SIGN,
     ComboClass,
     PairMark,
     classical_baseline_g2,
@@ -22,84 +25,88 @@ from cohom.analytic import (
     fringe_visibility,
     local_intensity,
     pair_chart,
-    port_fields,
 )
 from cohom.optics import (
-    ModeLabel,
     PathTag,
     Polarization,
     bench_detector_fields,
+    detector_path_coefficients,
     intensity,
 )
 
-
-def align_global_phase(reference, other):
-    """Scale factor making `other` match `reference` (largest component ratio)."""
-    pairs = [(r, o) for r, o in zip(reference, other) if abs(r) > 1e-14]
-    r, o = max(pairs, key=lambda p: abs(p[0]))
-    return r / o
+SQRT2 = math.sqrt(2.0)
 
 
 class TestPortFields:
+    """The bench pipeline's port fields, read at the closed forms'
+    bright-source normalization (sqrt(2) times the single-photon field)."""
+
     def test_h_and_v_ports_are_pure(self):
-        fields = port_fields(1.3e6, 0.4e-6, 0.9e-6)
+        fields = bench_detector_fields(1.3e6, 0.4e-6, 0.9e-6)
         for k in (1, 3):
-            f = fields.port(k)
+            f = fields[k]
             assert f.amps[2] == 0 and f.amps[3] == 0
         for k in (2, 4):
-            f = fields.port(k)
+            f = fields[k]
             assert f.amps[0] == 0 and f.amps[1] == 0
 
     def test_components_have_magnitude_half(self):
-        fields = port_fields(2.4e6, 1.1e-6, 0.3e-6)
+        fields = bench_detector_fields(2.4e6, 1.1e-6, 0.3e-6)
         for k in (1, 2, 3, 4):
-            mags = sorted(abs(a) for a in fields.port(k).amps if a != 0)
+            mags = sorted(SQRT2 * abs(a) for a in fields[k].amps if a != 0)
             assert len(mags) == 2
             assert all(abs(m - 0.5) < 1e-12 for m in mags)
 
+    def test_table_is_pipeline_at_origin(self):
+        """The closed forms' one table is the pipeline at zero offset."""
+        coeff = detector_path_coefficients(0.0, 0.0, 0.0)
+        for k, (up, down) in _PORT_COEFFS.items():
+            assert abs(up - SQRT2 * coeff[k][PathTag.U]) < 1e-15
+            assert abs(down - SQRT2 * coeff[k][PathTag.D]) < 1e-15
+        assert _PORT_SIGN == {1: 1.0, 2: -1.0, 3: -1.0, 4: 1.0}
+
     def test_agrees_with_bench_pipeline_up_to_port_scale(self):
-        """The pipeline route and the closed form must agree per port up to
-        one global scale and phase (the closed form is the bright-source
-        normalization, the pipeline is single-photon unitary)."""
+        """The coefficient table times the offset phases e^{+-i df T},
+        T = tau1 + tau2, is the pipeline's per-arm amplitude times exactly
+        sqrt(2) (the closed form is the bright-source normalization, the
+        pipeline is single-photon unitary), with no free phase."""
         rng = np.random.default_rng(21)
         for _ in range(100):
             delta_f = rng.uniform(-5e6, 5e6)
             tau1, tau2 = rng.uniform(0, 4e-6, size=2)
-            closed = port_fields(delta_f, tau1, tau2)
-            pipeline = bench_detector_fields(delta_f, tau1, tau2)
-            for k in (1, 2, 3, 4):
-                ref = closed.port(k).amps
-                got = pipeline[k].amps
-                scale = align_global_phase(ref, got)
-                assert abs(abs(scale) - math.sqrt(2.0)) < 1e-12
-                for r, g in zip(ref, got):
-                    assert abs(r - g * scale) < 1e-12
+            up_phase = cmath.exp(1j * delta_f * (tau1 + tau2))
+            coeff = detector_path_coefficients(delta_f, tau1, tau2)
+            for k, (up, down) in _PORT_COEFFS.items():
+                got_up = SQRT2 * coeff[k][PathTag.U]
+                got_down = SQRT2 * coeff[k][PathTag.D]
+                assert abs(up * up_phase - got_up) < 1e-12
+                assert abs(down * up_phase.conjugate() - got_down) < 1e-12
 
     def test_energy_conserved_across_final_splitters(self):
-        # closed-form ports: each polarization pair sums to I0 exactly
+        # each polarization pair sums to I0 exactly
         rng = np.random.default_rng(22)
         for _ in range(50):
             delta_f = rng.uniform(-5e6, 5e6)
             tau1, tau2 = rng.uniform(0, 4e-6, size=2)
-            fields = port_fields(delta_f, tau1, tau2)
-            i_h = intensity(fields.e1) + intensity(fields.e3)
-            i_v = intensity(fields.e2) + intensity(fields.e4)
+            fields = bench_detector_fields(delta_f, tau1, tau2)
+            i_h = 2.0 * (intensity(fields[1]) + intensity(fields[3]))
+            i_v = 2.0 * (intensity(fields[2]) + intensity(fields[4]))
             assert abs(i_h - 1.0) < 1e-12
             assert abs(i_v - 1.0) < 1e-12
 
 
 class TestLocalIntensity:
     def test_matches_field_intensity_on_grid(self):
-        """Oracle: optics-level intensity of the closed-form port fields."""
+        """Oracle: optics-level intensity of the bench pipeline's fields."""
         deltas = np.linspace(-4e6, 4e6, 10)
         taus = np.linspace(0.05e-6, 3e-6, 10)
         worst = 0.0
         for df in deltas:
             for t1 in taus:
                 for t2 in taus:
-                    fields = port_fields(df, t1, t2)
+                    fields = bench_detector_fields(df, t1, t2)
                     for k in (1, 2, 3, 4):
-                        via_field = intensity(fields.port(k))
+                        via_field = 2.0 * intensity(fields[k])
                         direct = local_intensity(k, df, t1, t2)
                         ref = max(abs(via_field), 1e-300)
                         worst = max(worst, abs(via_field - direct) / max(ref, 1e-3))
@@ -173,22 +180,16 @@ class TestEnsembleIntensity:
 
 class TestCoincidences:
     def test_pairing_sum_oracle_is_zero(self):
-        """Oracle: explicit two-term sum from the port-field coefficients."""
+        """Oracle: explicit two-term sum from the pipeline's per-arm
+        coefficients."""
         rng = np.random.default_rng(24)
-        hu = ModeLabel(Polarization.H, PathTag.U)
-        hd = ModeLabel(Polarization.H, PathTag.D)
-        vu = ModeLabel(Polarization.V, PathTag.U)
-        vd = ModeLabel(Polarization.V, PathTag.D)
+        up, down = PathTag.U, PathTag.D
         for _ in range(200):
             df = rng.uniform(-8e6, 8e6)
             t1, t2 = rng.uniform(0, 5e-6, size=2)
-            f = port_fields(df, t1, t2)
-            amp13 = f.e1.amplitude(hu) * f.e3.amplitude(hd) + f.e1.amplitude(
-                hd
-            ) * f.e3.amplitude(hu)
-            amp24 = f.e2.amplitude(vu) * f.e4.amplitude(vd) + f.e2.amplitude(
-                vd
-            ) * f.e4.amplitude(vu)
+            c = detector_path_coefficients(df, t1, t2)
+            amp13 = c[1][up] * c[3][down] + c[1][down] * c[3][up]
+            amp24 = c[2][up] * c[4][down] + c[2][down] * c[4][up]
             assert abs(amp13) == 0.0
             assert abs(amp24) == 0.0
             assert coincidence_r13(df, t1, t2) == 0.0

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, formats, seeds, stream separation."""
 
 import json
+import math
 import os
 import stat
 import threading
@@ -180,6 +181,26 @@ class TestSeedPrecedence:
         assert main(["simulate", "--config", point_cfg, "--quiet"]) == 2
         assert "COHOM_SEED" in capsys.readouterr().err
 
+    def test_negative_flag_seed(self, point_cfg, capsys):
+        code = main(["simulate", "--config", point_cfg, "--quiet",
+                     "--seed", "-1"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: --seed: must be a non-negative integer\n")
+
+    def test_negative_env_seed(self, point_cfg, capsys, monkeypatch):
+        monkeypatch.setenv("COHOM_SEED", "-1")
+        assert main(["simulate", "--config", point_cfg, "--quiet"]) == 2
+        assert capsys.readouterr().err == (
+            "error: COHOM_SEED: must be a non-negative integer\n")
+
+    def test_negative_file_seed(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text(POINT_CFG.replace("seed = 42", "seed = -1"))
+        assert main(["simulate", "--config", str(path), "--quiet"]) == 2
+        assert capsys.readouterr().err == (
+            "error: line 10, column 8: seed: must be a non-negative integer\n")
+
 
 class TestErrors:
     def test_missing_config_file(self, tmp_path, capsys):
@@ -302,15 +323,16 @@ class TestValidate:
         assert all(",pass," in line for line in lines[1:])
         assert out.err == ""  # --quiet silences progress
 
-    def test_perturbed_splitter_fails(self, capsys):
-        code = main(["validate", "--quiet", "--perturb-bs", "1e-3"])
+    def test_perturbed_splitter_fails(self, capsys, break_splitter):
+        break_splitter(1e-3)
+        code = main(["validate", "--quiet"])
         assert code == 1
         report = capsys.readouterr().out
         assert "element-unitarity,fail," in report
 
-    def test_nan_perturbation_fails(self, capsys):
-        code = main(["validate", "--quiet", "--perturb-bs", "nan",
-                     "--format", "json"])
+    def test_nan_perturbation_fails(self, capsys, break_splitter):
+        break_splitter(math.nan)
+        code = main(["validate", "--quiet", "--format", "json"])
         assert code == 1
 
         def reject(token):

@@ -1,5 +1,7 @@
-"""The README's config and library examples work as written."""
+"""The README's config and library examples work as written, and the
+flags it names are the parser's."""
 
+import argparse
 import re
 from dataclasses import MISSING, fields
 from pathlib import Path
@@ -7,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from cohom.benchio import parse_config
+from cohom.cli import build_parser
 from cohom.montecarlo import RunConfig
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(
@@ -40,3 +43,17 @@ def test_config_example_parses_at_defaults(text):
 def test_library_example_runs(code, capsys):
     exec(compile(code, "README.md", "exec"), {})
     assert capsys.readouterr().out
+
+
+def test_named_flags_are_the_parsers():
+    # flags of other programs, such as `pip install --no-build-isolation`
+    cohom_text = re.sub(r"^pip .*$", "", README, flags=re.M)
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", cohom_text))
+    subparsers, = [action for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    options = {option
+               for sub in subparsers.choices.values()
+               for action in sub._actions
+               for option in action.option_strings
+               if option.startswith("--")}
+    assert named == options - {"--help"}
