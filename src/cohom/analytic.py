@@ -17,7 +17,6 @@ I0 is normalized to 1 throughout.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,23 +112,16 @@ def coincidence_r24(delta_f, tau1, tau2):
     return _cross_port_rate(2, 4, delta_f, tau1, tau2)
 
 
-def classical_baseline_g2(phase_samples: int = 360) -> float:
+def classical_baseline_g2() -> float:
     """Classical intensity-correlation floor between the paired ports.
 
-    Averages I1*I3 / (<I1><I3>) over fringe phases 2*pi*k/n.  For any n >= 3
-    the equally spaced sum gives exactly 0.5, the coherent-light floor that
-    the anticorrelation result is contrasted against.  n = 2 is degenerate
-    (phases {0, pi} make every product vanish) and returns 0.
-
-    Raises:
-        ValueError: if phase_samples < 2.
+    Over a uniform fringe phase theta, I1 = (1 + cos theta)/2 and
+    I3 = (1 - cos theta)/2, so <I1> = <I3> = 1/2 and
+    <I1*I3> = <sin^2 theta>/4 = 1/8.  Their ratio <I1*I3> / (<I1><I3>)
+    is exactly 1/2: the coherent-light floor that the anticorrelation
+    result is contrasted against.
     """
-    if phase_samples < 2:
-        raise ValueError("phase_samples must be >= 2")
-    theta = 2.0 * math.pi * np.arange(phase_samples) / phase_samples
-    i1 = 0.5 * (1.0 + np.cos(theta))
-    i3 = 0.5 * (1.0 - np.cos(theta))
-    return float(np.mean(i1 * i3) / (np.mean(i1) * np.mean(i3)))
+    return 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -220,9 +212,6 @@ class PairChart:
     row_labels: tuple[str, ...]
     col_labels: tuple[str, ...]
     cells: tuple[tuple[PairMark, ...], ...]
-
-    def cell(self, i: int, j: int) -> PairMark:
-        return self.cells[i][j]
 
     def to_dict(self) -> dict:
         return {

@@ -168,23 +168,21 @@ class RunConfig:
                      "must be <= 1 in classical mode (click probability)")
 
 
-def sample_detuning(rng, sigma_f, size=None):
-    """Draw detunings from Normal(0, sigma_f^2) truncated at +/-4 sigma.
+def sample_detuning(rng, sigma_f, size) -> np.ndarray:
+    """Draw ``size`` detunings from Normal(0, sigma_f^2) cut at +/-4 sigma.
 
     Rejection sampling keeps the Gaussian shape inside the truncation
-    bound; results are deterministic for a given generator state.  With
-    ``size=None`` a single float is returned.
+    bound; results are deterministic for a given generator state.
     """
     if sigma_f == 0.0:
-        return 0.0 if size is None else np.zeros(int(size))
-    n = 1 if size is None else int(size)
-    out = rng.normal(0.0, sigma_f, n)
+        return np.zeros(size)
+    out = rng.normal(0.0, sigma_f, size)
     bound = 4.0 * sigma_f
     bad = np.abs(out) > bound
     while bad.any():
         out[bad] = rng.normal(0.0, sigma_f, int(bad.sum()))
         bad = np.abs(out) > bound
-    return float(out[0]) if size is None else out
+    return out
 
 
 def pair_amplitudes(delta_f, tau1, tau2, global_phase, sector) -> dict:
@@ -236,11 +234,9 @@ def outcome_probability_table(cross_path: bool) -> np.ndarray:
     return table
 
 
-def detector_convolve(true_time, rng, pulse_sigma, size=None):
-    """Smear arrival times with the Gaussian electrical-pulse jitter."""
-    shape = np.shape(true_time) if size is None else size
-    result = np.asarray(true_time, dtype=float) + rng.normal(0.0, pulse_sigma, shape)
-    return float(result) if result.ndim == 0 else result
+def detector_convolve(true_time, rng, pulse_sigma) -> np.ndarray:
+    """Smear an array of arrival times with Gaussian electrical-pulse jitter."""
+    return true_time + rng.normal(0.0, pulse_sigma, np.shape(true_time))
 
 
 def _window_acceptance(config) -> float:

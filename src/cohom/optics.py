@@ -31,22 +31,6 @@ class PathTag(enum.Enum):
     D = "D"
 
 
-@dataclass(frozen=True, order=True)
-class ModeLabel:
-    pol: Polarization
-    path: PathTag
-
-
-MODE_LABELS: tuple[ModeLabel, ...] = (
-    ModeLabel(Polarization.H, PathTag.U),
-    ModeLabel(Polarization.H, PathTag.D),
-    ModeLabel(Polarization.V, PathTag.U),
-    ModeLabel(Polarization.V, PathTag.D),
-)
-
-_INDEX = {label: i for i, label in enumerate(MODE_LABELS)}
-
-
 class PathAssignmentError(ValueError):
     """Raised when a field already split across both arms is fed to a splitter stage."""
 
@@ -56,7 +40,7 @@ class PhotonField:
     """Immutable four-mode amplitude vector.
 
     Attributes:
-        amps: amplitudes ordered as MODE_LABELS (H^U, H^D, V^U, V^D).
+        amps: amplitudes ordered H^U, H^D, V^U, V^D.
     """
 
     amps: tuple[complex, complex, complex, complex]
@@ -75,18 +59,6 @@ class PhotonField:
         built this way is single-rail and acceptable to nmzi_transfer.
         """
         return PhotonField((complex(h), 0j, complex(v), 0j))
-
-    # -- accessors ---------------------------------------------------------
-
-    def amplitude(self, label: ModeLabel) -> complex:
-        return self.amps[_INDEX[label]]
-
-    def paths_present(self) -> set[PathTag]:
-        present = set()
-        for label, i in _INDEX.items():
-            if self.amps[i] != 0:
-                present.add(label.path)
-        return present
 
     # -- derived scalars ---------------------------------------------------
 
@@ -162,13 +134,23 @@ def detune_phase(field: PhotonField, delta_f: float, tau: float) -> PhotonField:
     return PhotonField((hu * up, hd * down, vu * up, vd * down))
 
 
+def _rail_sums(field: PhotonField, message: str) -> tuple[complex, complex]:
+    """H and V amplitudes of a single-rail field, summed over its one arm.
+
+    An amplitude counts as present when it is ``!= 0``, so a NaN does.
+
+    Raises:
+        PathAssignmentError: with ``message`` if both arms carry amplitude.
+    """
+    hu, hd, vu, vd = field.amps
+    if (hu != 0 or vu != 0) and (hd != 0 or vd != 0):
+        raise PathAssignmentError(message)
+    return hu + hd, vu + vd
+
+
 def with_path(field: PhotonField, tag: PathTag) -> PhotonField:
     """Relabel a single-rail field onto one arm, preserving polarization."""
-    present = field.paths_present()
-    if len(present) > 1:
-        raise PathAssignmentError("field already spans both arms; cannot retag")
-    h = field.amps[0] + field.amps[1]
-    v = field.amps[2] + field.amps[3]
+    h, v = _rail_sums(field, "field already spans both arms; cannot retag")
     if tag is PathTag.U:
         return PhotonField((h, 0j, v, 0j))
     return PhotonField((0j, h, 0j, v))
@@ -195,13 +177,8 @@ def nmzi_transfer(
     Raises:
         PathAssignmentError: if the input already carries both path tags.
     """
-    present = field.paths_present()
-    if len(present) > 1:
-        raise PathAssignmentError(
-            "nmzi_transfer input must be a single-rail photon without path tags"
-        )
-    h = field.amps[0] + field.amps[1]
-    v = field.amps[2] + field.amps[3]
+    h, v = _rail_sums(field, "nmzi_transfer input must be a single-rail "
+                             "photon without path tags")
     u1 = cmath.exp(1j * delta_f * tau1)
     d1 = cmath.exp(-1j * delta_f * tau1)
     # up arm gets i/sqrt2, down arm 1/sqrt2; the combiner reflects V with i.

@@ -12,14 +12,14 @@ def break_splitter(monkeypatch):
 
     ``break_splitter(error)`` replaces the ``bs_transform`` that
     ``cohom.validation`` calls with one whose first output picks up
-    ``error`` times each nonzero amplitude of the first input, so the
-    splitter is no longer unitary.  A zero amplitude stays zero (even for
-    a NaN error), so the fault never puts a field on an arm it was not on.
+    ``error`` times each amplitude of the first input, so the splitter is
+    no longer unitary.  A NaN error puts NaN in every mode, zero ones
+    included.
     """
     def apply(error: float) -> None:
         def faulty(in_a, in_b):
             out1, out2 = bs_transform(in_a, in_b)
-            out1 = PhotonField(tuple(o + error * a if a else o
+            out1 = PhotonField(tuple(o + error * a
                                      for o, a in zip(out1.amps, in_a.amps)))
             return out1, out2
 

@@ -227,7 +227,7 @@ def test_combination_tables(report):
 
     chart = pair_chart()
     chart_mismatches = sum(
-        chart.cell(i, j).value != EXPECTED_CHART[i][j]
+        chart.cells[i][j].value != EXPECTED_CHART[i][j]
         for i in range(4) for j in range(4))
 
     ok = mismatches == 0 and chart_mismatches == 0

@@ -343,6 +343,20 @@ class TestValidate:
                   if c["name"] == "element-unitarity"]
         assert check["status"] == "fail" and check["measured"] is None
 
+    def test_nan_splitter_writes_full_report(self, capsys, break_splitter):
+        # the fault also leaves amplitude on both arms of a splitter
+        # output; stage-composition must fail, not raise
+        break_splitter(math.nan)
+        assert main(["validate"]) == 1
+        out = capsys.readouterr()
+        rows = out.out.strip().splitlines()[1:]
+        assert len(rows) == 17
+        failed = [row.split(",")[0] for row in rows if ",fail," in row]
+        assert failed == ["element-unitarity", "stage-composition"]
+        assert "stage-composition,fail,nan," in out.out
+        assert "Traceback" not in out.err
+        assert out.err.endswith("validate: 2 of 17 checks failed\n")
+
     def test_progress_on_stderr(self, capsys):
         assert main(["enumerate"]) == 0
         first = capsys.readouterr()

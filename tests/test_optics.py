@@ -7,12 +7,9 @@ import numpy as np
 import pytest
 
 from cohom.optics import (
-    MODE_LABELS,
-    ModeLabel,
     PathAssignmentError,
     PathTag,
     PhotonField,
-    Polarization,
     bench_detector_fields,
     bs_transform,
     detector_path_coefficients,
@@ -119,14 +116,14 @@ class TestPbs:
         for _ in range(50):
             a, b = random_field(rng), random_field(rng)
             port1, port2 = pbs_route(a, b)
-            # oracle: H passes straight through, V reflects with i
-            for label in MODE_LABELS:
-                if label.pol is Polarization.H:
-                    assert port1.amplitude(label) == a.amplitude(label)
-                    assert port2.amplitude(label) == b.amplitude(label)
-                else:
-                    assert port1.amplitude(label) == 1j * b.amplitude(label)
-                    assert port2.amplitude(label) == 1j * a.amplitude(label)
+            # oracle: H (modes 0, 1) passes straight through, V (modes
+            # 2, 3) reflects with i
+            for i in (0, 1):
+                assert port1.amps[i] == a.amps[i]
+                assert port2.amps[i] == b.amps[i]
+            for i in (2, 3):
+                assert port1.amps[i] == 1j * b.amps[i]
+                assert port2.amps[i] == 1j * a.amps[i]
 
     def test_polarization_separation_is_exact(self):
         rng = np.random.default_rng(12)
@@ -202,17 +199,33 @@ class TestNmzi:
         photon = PhotonField.from_jones(1 / SQRT2, 1 / SQRT2)
         port_a, port_b = nmzi_transfer(photon, 0.0, 0.0)
         # port A carries (-V^U + H^D)/2, port B carries i(H^U + V^D)/2
-        assert abs(port_a.amplitude(ModeLabel(Polarization.H, PathTag.D)) - 0.5) < 1e-12
-        assert abs(port_a.amplitude(ModeLabel(Polarization.V, PathTag.U)) + 0.5) < 1e-12
-        assert abs(port_b.amplitude(ModeLabel(Polarization.H, PathTag.U)) - 0.5j) < 1e-12
-        assert abs(port_b.amplitude(ModeLabel(Polarization.V, PathTag.D)) - 0.5j) < 1e-12
-        assert port_a.amplitude(ModeLabel(Polarization.H, PathTag.U)) == 0
-        assert port_b.amplitude(ModeLabel(Polarization.H, PathTag.D)) == 0
+        # modes are ordered H^U, H^D, V^U, V^D
+        assert abs(port_a.amps[1] - 0.5) < 1e-12  # H^D
+        assert abs(port_a.amps[2] + 0.5) < 1e-12  # V^U
+        assert abs(port_b.amps[0] - 0.5j) < 1e-12  # H^U
+        assert abs(port_b.amps[3] - 0.5j) < 1e-12  # V^D
+        assert port_a.amps[0] == 0  # H^U
+        assert port_b.amps[1] == 0  # H^D
 
     def test_rejects_path_split_input(self):
-        split = PhotonField((0.5, 0.5, 0j, 0j))
-        with pytest.raises(PathAssignmentError):
-            nmzi_transfer(split, 1.0, 1.0)
+        # both arms carry amplitude: same polarization, crossed
+        # polarizations, and a NaN, which counts as present
+        splits = (PhotonField((0.5, 0.5, 0j, 0j)),
+                  PhotonField((0j, 0.5, 0.5, 0j)),
+                  PhotonField((0.5, 0j, 0j, complex(math.nan, 0.0))))
+        for split in splits:
+            with pytest.raises(PathAssignmentError, match="single-rail"):
+                nmzi_transfer(split, 1.0, 1.0)
+            for tag in (PathTag.U, PathTag.D):
+                with pytest.raises(PathAssignmentError, match="both arms"):
+                    with_path(split, tag)
+        # one arm only, either one, is accepted and summed per polarization
+        for single in (PhotonField((0.6, 0j, 0.8j, 0j)),
+                       PhotonField((0j, 0.6, 0j, 0.8j))):
+            assert with_path(single, PathTag.D).amps == (0j, 0.6, 0j, 0.8j)
+            port_a, port_b = nmzi_transfer(single, 0.0, 0.0)
+            norm = port_a.total_norm() + port_b.total_norm()
+            assert norm == pytest.approx(1.0)
 
     def test_matches_primitive_chain(self):
         """Oracle: splitter, relabel, per-arm offset phase, polarizing combiner."""

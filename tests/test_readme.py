@@ -1,5 +1,6 @@
-"""The README's config and library examples work as written, and the
-flags it names are the parser's."""
+"""The README's config and library examples work as written, its
+report header is the renderer's, and the flags it names are the
+parser's."""
 
 import argparse
 import re
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from cohom.benchio import parse_config
-from cohom.cli import build_parser
+from cohom.cli import build_parser, render_report
 from cohom.montecarlo import RunConfig
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(
@@ -43,6 +44,12 @@ def test_config_example_parses_at_defaults(text):
 def test_library_example_runs(code, capsys):
     exec(compile(code, "README.md", "exec"), {})
     assert capsys.readouterr().out
+
+
+def test_report_header_is_the_renderers():
+    example, = code_blocks("csv")
+    assert (example.splitlines()[0]
+            == render_report([], "csv").splitlines()[0])
 
 
 def test_named_flags_are_the_parsers():

@@ -1,4 +1,5 @@
-"""Validation checks fail on a faulty bench or a NaN measurement."""
+"""Validation checks fail on a faulty bench or a NaN measurement, and the
+suite runs them under fixed names."""
 
 import math
 
@@ -8,6 +9,8 @@ from cohom.validation import (
     _worst,
     check_element_unitarity,
     check_intensity_consistency,
+    check_stage_composition,
+    run_validation,
 )
 
 
@@ -26,6 +29,16 @@ def test_nan_splitter_error_fails_unitarity(break_splitter):
     assert math.isnan(result.measured)
 
 
+def test_nan_splitter_error_fails_stage_composition(break_splitter):
+    assert check_stage_composition().passed
+    # NaN in the empty arm makes with_path refuse the splitter output
+    break_splitter(math.nan)
+    result = check_stage_composition()
+    assert not result.passed
+    assert math.isnan(result.measured)
+    assert result.tolerance == 1e-12
+
+
 def test_swapped_ports_fail_intensity_consistency(monkeypatch):
     assert check_intensity_consistency().passed
 
@@ -36,3 +49,28 @@ def test_swapped_ports_fail_intensity_consistency(monkeypatch):
 
     monkeypatch.setattr(cohom.validation, "bench_detector_fields", swapped)
     assert not check_intensity_consistency().passed
+
+
+def test_progress_labels_are_the_check_names():
+    labels = []
+    results = run_validation(progress=labels.append)
+    # perfbench keys its validation.check.<name>_s metrics on these names
+    assert labels == [r.name for r in results] == [
+        "analytic-coincidence-zero",
+        "amplitude-exact-zero",
+        "higher-order-floor",
+        "classical-baseline",
+        "intensity-consistency",
+        "intensity-conservation",
+        "amplitude-singles",
+        "classical-singles",
+        "ensemble-quadrature",
+        "uniform-limit",
+        "combination-table",
+        "pair-chart",
+        "element-unitarity",
+        "waveplate-balance",
+        "stage-composition",
+        "rerun-determinism",
+        "filter-monotonicity",
+    ]
