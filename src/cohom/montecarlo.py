@@ -31,10 +31,16 @@ Two simulation modes:
     with probability ``mean_photon_number * I_k(delta_f) / I0`` per
     slot.  This reproduces the classical coherent-light correlation
     floor g2 = 0.5 and calibrates the quantum-vs-classical contrast.
-    Slots are simulated in fixed-size chunks, chunk ``i`` drawing from
-    the substream ``SeedSequence(seed, spawn_key=(i,))``; chunk results
-    are merged by integer addition as each one finishes, so memory stays
-    bounded by one chunk.
+    Given the detuning the four clicks are independent, so a slot falls
+    into one of 16 click patterns whose probabilities need only
+    E[cos(m theta)], m = 1..4, of the fringe phase theta; under the
+    truncated Gaussian detuning those means have a closed form.  A run
+    draws one multinomial over the patterns and a binomial window
+    acceptance per two-click pattern.  Only slots with three or more
+    clicks draw jitter stamps; their number grows as
+    ``n_pairs * mean_photon_number**3`` (under 3 % of the slots at 0.5).
+    They are drawn in blocks of at most ``CHUNK_SIZE`` slots merged as each
+    one finishes, so memory stays bounded by one block.
 
 Runs are deterministic: the same config gives the same counts.  A delay
 scan derives one seed per point, so its points may run on any number of
@@ -44,6 +50,7 @@ threads without changing a count.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -55,6 +62,7 @@ import numpy as np
 from .analytic import local_intensity
 from .optics import PathTag, detector_path_coefficients
 
+#: most slots a classical run draws jitter stamps for at once
 CHUNK_SIZE = 32768
 
 DETECTORS = (1, 2, 3, 4)
@@ -68,10 +76,18 @@ OUTCOMES = (
     (4, 4),
 )
 
+#: The detectors that click in one classical slot, one entry per pattern.
+CLICK_PATTERNS = tuple(
+    tuple(k for k, fired in zip(DETECTORS, bits) if fired)
+    for bits in itertools.product((False, True), repeat=len(DETECTORS)))
+
 #: numpy draws counts as int64, so no run may hold more pairs
 _MAX_PAIRS = 2**63 - 1
 
 _SQRT2 = math.sqrt(2.0)
+
+#: sample_detuning cuts the Gaussian detuning at this many sigma_f
+_DETUNING_CUT = 4.0
 _MODES = ("amplitude", "classical")
 
 
@@ -177,12 +193,52 @@ def sample_detuning(rng, sigma_f, size) -> np.ndarray:
     if sigma_f == 0.0:
         return np.zeros(size)
     out = rng.normal(0.0, sigma_f, size)
-    bound = 4.0 * sigma_f
+    bound = _DETUNING_CUT * sigma_f
     bad = np.abs(out) > bound
     while bad.any():
         out[bad] = rng.normal(0.0, sigma_f, int(bad.sum()))
         bad = np.abs(out) > bound
     return out
+
+
+#: terms of the continued fraction in :func:`_faddeeva`
+_FADDEEVA_TERMS = 40
+
+
+def _faddeeva(z: complex) -> complex:
+    """Faddeeva function w(z) = exp(-z^2) erfc(-iz) for Im z >= 2*sqrt(2).
+
+    Laplace's continued fraction (Gautschi 1970, SIAM J. Numer. Anal.
+    7:187), w(z) = (i/sqrt(pi)) / (z - (1/2)/(z - 1/(z - (3/2)/(z - ...)))),
+    evaluated from the tail.  At Im z = 2*sqrt(2), the only place it is
+    used, 40 terms reach double precision for every Re z.
+    """
+    tail = 0j
+    for k in range(_FADDEEVA_TERMS, 0, -1):
+        tail = 0.5 * k / (z - tail)
+    return 1j / math.sqrt(math.pi) / (z - tail)
+
+
+def detuning_cos_mean(a, sigma_f) -> float:
+    """E[cos(a * delta)] for the detuning drawn by :func:`sample_detuning`.
+
+    For delta ~ Normal(0, sigma_f^2) cut at +/-4 sigma_f, with
+    x = 4/sqrt(2) and y = |a| sigma_f / sqrt(2), the mean is
+    exp(-y^2) Re erf(x - iy) / erf(x).  Through the Faddeeva function it
+    reads [exp(-y^2) - Re(exp(-x^2 + 2ixy) w(y + ix))] / erf(x), which
+    stays finite at every y and keeps the truncation term that remains
+    once exp(-y^2) has vanished.
+    """
+    if a == 0.0 or sigma_f == 0.0:
+        return 1.0
+    x = _DETUNING_CUT / _SQRT2
+    y = abs(a) * sigma_f / _SQRT2
+    phase = 2.0 * x * y
+    if math.isinf(phase):
+        # |mean| < exp(-x^2) / (sqrt(pi) y erf(x)), far below 1e-300 here
+        return 0.0
+    tail = cmath.exp(complex(-x * x, phase)) * _faddeeva(complex(y, x))
+    return (math.exp(-y * y) - tail.real) / math.erf(x)
 
 
 def pair_amplitudes(delta_f, tau1, tau2, global_phase, sector) -> dict:
@@ -232,6 +288,52 @@ def outcome_probability_table(cross_path: bool) -> np.ndarray:
     # 2**-53 grid could not reach them either, so they are exact zeros.
     table[table < np.finfo(float).eps] = 0.0
     return table
+
+
+#: E[u^i v^(4-i)], i = 0..4, as combinations of E[cos(m theta)], m = 0..4,
+#: where u = (1 + cos theta)/2 and v = (1 - cos theta)/2.  The entries are
+#: multiples of 1/128, so at theta = 0, where every E[cos] is 1.0, the
+#: moments that vanish come out exactly 0.0.
+_FRINGE_POWERS = np.array([
+    [35, -56, 28, -8, 1],
+    [5, -4, -4, 4, -1],
+    [3, 0, -4, 0, 1],
+    [5, 4, -4, -4, -1],
+    [35, 56, 28, 8, 1],
+]) / 128.0
+
+
+def click_pattern_table(config) -> np.ndarray:
+    """Probability of each classical click pattern over :data:`CLICK_PATTERNS`.
+
+    Given the fringe phase theta = 2 delta_f (tau1 + tau2), detector k
+    clicks independently with probability mu I_k: I_k is u on the bright
+    ports (D1, D4) and v on the dark ones (D2, D3).  With u + v = 1 a
+    miss is a non-negative form too, 1 - mu u = (1 - mu) u + v, so every
+    pattern probability is a non-negative combination of the moments
+    E[u^i v^(4-i)].  No probability can come out negative, and one that
+    is zero in exact arithmetic (a dark port at theta = 0, a miss at
+    mu = 1) is exactly 0.0.
+    """
+    a = 2.0 * (config.tau1 + config.tau2)
+    cos_means = [1.0, *(detuning_cos_mean(m * a, config.sigma_f)
+                        for m in (1, 2, 3, 4))]
+    # cancellation can leave a vanishing moment a rounding error below 0
+    moments = np.maximum(_FRINGE_POWERS @ cos_means, 0.0)
+    forms = []
+    for k in DETECTORS:
+        # coefficients of (v, u); local_intensity at zero phase is 1 on
+        # the bright fringe and 0 on the dark one
+        bright = local_intensity(k, 0.0, 0.0, 0.0)
+        click = config.mean_photon_number * np.array([1.0 - bright, bright])
+        forms.append((click, 1.0 - click))
+    table = []
+    for fired in CLICK_PATTERNS:
+        poly = np.ones(1)
+        for k, (click, miss) in zip(DETECTORS, forms):
+            poly = np.convolve(poly, click if k in fired else miss)
+        table.append(poly @ moments)
+    return np.array(table)
 
 
 def detector_convolve(true_time, rng, pulse_sigma) -> np.ndarray:
@@ -362,61 +464,60 @@ def _amplitude_run(config) -> CountsAccumulator:
     return acc
 
 
-def _classical_chunk(config, rng, n) -> CountsAccumulator:
-    """Simulate n slots in classical intensity-sampling mode."""
-    acc = CountsAccumulator.empty()
-    delta = sample_detuning(rng, config.sigma_f, n)
-    # ports 4 and 3 evaluate the same expressions as ports 1 and 2
-    i1, i2 = (config.mean_photon_number
-              * local_intensity(k, delta, config.tau1, config.tau2)
-              for k in (1, 2))
-    prob = np.stack([i1, i2, i2, i1], axis=1)
-    clicks = rng.random((n, 4)) < prob
-    times = detector_convolve(np.zeros((n, 4)), rng, config.pulse_sigma)
+def _jittered_block(config, rng, fired, size) -> CountsAccumulator:
+    """Window tests of ``size`` slots in which exactly ``fired`` clicked.
 
-    for k in range(4):
-        acc.singles[k + 1] += int(np.count_nonzero(clicks[:, k]))
-
-    any_pair = np.zeros(n, dtype=bool)
-    for i, j in DETECTOR_PAIRS:
-        sel = (
-            clicks[:, i - 1]
-            & clicks[:, j - 1]
-            & (np.abs(times[:, i - 1] - times[:, j - 1])
-               <= config.coincidence_window)
-        )
-        acc.coincidences[(i, j)] += int(np.count_nonzero(sel))
-        any_pair |= sel
-    acc.n_postselected += int(np.count_nonzero(any_pair))
-    acc.n_generated += n
-
-    _inject_accidentals(config, rng, n, acc)
-    return acc
+    Each fired detector gets its own jitter stamp, so the pairs of one
+    slot pass or fail the window together; the slot is postselected when
+    any of its pairs passes.
+    """
+    block = CountsAccumulator.empty()
+    stamps = detector_convolve(np.zeros((size, len(fired))), rng,
+                               config.pulse_sigma)
+    kept = np.zeros(size, dtype=bool)
+    for (a, i), (b, j) in itertools.combinations(enumerate(fired), 2):
+        sel = np.abs(stamps[:, a] - stamps[:, b]) <= config.coincidence_window
+        block.coincidences[(i, j)] = int(np.count_nonzero(sel))
+        kept |= sel
+    block.n_postselected = int(np.count_nonzero(kept))
+    return block
 
 
 def _classical_run(config) -> CountsAccumulator:
-    """Classical slots in fixed-size chunks, merged as each one finishes.
+    """Exact counts of a whole classical-mode run.
 
-    Chunk ``i`` draws from ``SeedSequence(seed, spawn_key=(i,))``, the
-    stream ``SeedSequence(seed).spawn(n)[i]`` would hand out, derived on
-    demand so that no per-chunk state is built before the first chunk.
+    One multinomial over the click patterns gives the singles.  A
+    two-click slot passes the window with the pair's acceptance, so each
+    two-click pattern needs one binomial; slots with three or more
+    clicks draw their stamps in blocks of at most ``CHUNK_SIZE``.
     """
-    total = CountsAccumulator.empty()
-    for start in range(0, config.n_pairs, CHUNK_SIZE):
-        stream = np.random.SeedSequence(
-            config.seed, spawn_key=(start // CHUNK_SIZE,))
-        size = min(CHUNK_SIZE, config.n_pairs - start)
-        total.merge(_classical_chunk(config, np.random.default_rng(stream),
-                                     size))
-    return total
+    rng = np.random.default_rng(config.seed)
+    p_window = _window_acceptance(config)
+    acc = CountsAccumulator.empty()
+    hits = rng.multinomial(config.n_pairs, click_pattern_table(config))
+    for fired, n_hit in zip(CLICK_PATTERNS, hits.tolist()):
+        for k in fired:
+            acc.singles[k] += n_hit
+        if len(fired) == 2:
+            n_kept = int(rng.binomial(n_hit, p_window))
+            acc.coincidences[fired] += n_kept
+            acc.n_postselected += n_kept
+        elif len(fired) > 2:
+            for start in range(0, n_hit, CHUNK_SIZE):
+                acc.merge(_jittered_block(config, rng, fired,
+                                          min(CHUNK_SIZE, n_hit - start)))
+    acc.n_generated = config.n_pairs
+
+    _inject_accidentals(config, rng, config.n_pairs, acc)
+    return acc
 
 
 def simulate_run(config: RunConfig) -> CountsAccumulator:
     """Run the full simulation described by ``config``.
 
-    Amplitude mode draws the exact counts of the whole run in one pass;
-    classical mode simulates and merges chunks of slots in order.  The
-    outcome is bit-identical across reruns with the same config.
+    Both modes draw the counts of the whole run from one generator
+    seeded with ``config.seed``, so the outcome is bit-identical across
+    reruns with the same config.
     """
     if config.mode == "amplitude":
         return _amplitude_run(config)

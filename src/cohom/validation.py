@@ -25,7 +25,14 @@ from .analytic import (
     local_intensity,
     pair_chart,
 )
-from .montecarlo import RunConfig, g2_estimate, scan_tau21, simulate_run
+from .montecarlo import (
+    RunConfig,
+    detuning_cos_mean,
+    g2_estimate,
+    sample_detuning,
+    scan_tau21,
+    simulate_run,
+)
 from .optics import (
     PathAssignmentError,
     PathTag,
@@ -207,6 +214,24 @@ def check_ensemble_quadrature() -> CheckResult:
             worst = _worst(worst, abs(value - reference))
     return _result("ensemble-quadrature", worst, 1e-6,
                    "ensemble intensity vs Gauss-Hermite quadrature")
+
+
+def check_detuning_moments() -> CheckResult:
+    sigma = 1.5e6
+    n = 200_000
+    draws = sample_detuning(np.random.default_rng(VALIDATION_SEED + 4),
+                            sigma, n)
+    worst = 0.0
+    for a_sigma in (0.3, 1.0, 2.5):
+        for m in (1, 2, 3, 4):
+            a = m * a_sigma / sigma
+            values = np.cos(a * draws)
+            se = float(np.std(values)) / math.sqrt(n)
+            worst = _worst(worst, abs(float(np.mean(values))
+                                      - detuning_cos_mean(a, sigma)) / se)
+    return _result("detuning-moments", worst, 5.0,
+                   "closed-form E[cos(m a delta)] vs 2e5 truncated draws "
+                   "in standard errors")
 
 
 def check_uniform_limit() -> CheckResult:
@@ -400,6 +425,7 @@ def run_validation(progress: Optional[Callable[[str], None]] = None) -> list:
     run("amplitude-singles", check_amplitude_singles)
     run("classical-singles", check_classical_singles)
     run("ensemble-quadrature", check_ensemble_quadrature)
+    run("detuning-moments", check_detuning_moments)
     run("uniform-limit", check_uniform_limit)
     run("combination-table", check_combination_table)
     run("pair-chart", check_pair_chart)

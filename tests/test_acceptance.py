@@ -337,11 +337,11 @@ def test_validate_command_end_to_end(report):
                           capture_output=True, text=True, timeout=180)
     elapsed = time.perf_counter() - started
     lines = proc.stdout.strip().splitlines()
-    all_pass = (len(lines) > 1
+    all_pass = (len(lines) == 19  # header + 18 checks
                 and all(",pass," in line for line in lines[1:]))
     ok = proc.returncode == 0 and all_pass and elapsed < 120.0
     report(
         "validate-command", ok,
-        f"exit {proc.returncode}, {max(len(lines) - 1, 0)} checks reported, "
-        f"{elapsed:.1f}s (tol 120s)",
+        f"exit {proc.returncode}, {max(len(lines) - 1, 0)} of 18 checks "
+        f"reported, {elapsed:.1f}s (tol 120s)",
     )

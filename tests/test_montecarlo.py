@@ -6,15 +6,25 @@ port coefficients): for cross-path pairs the anticorrelated detector pairs
 double-hits carry 1/8 each and the correlated pairs (1,4), (2,3) carry 1/4;
 same-path pairs give a flat table (1/16 per double, 1/8 per distinct pair).
 The tests below verify the implementation against these numbers, the
-determinism contract, and the estimator conventions.
+determinism contract, and the estimator conventions.  Classical mode is
+checked through its click-pattern table, the closed-form detuning means
+behind it (scipy is the oracle), and a per-slot sampler kept here as the
+oracle for its count distribution.
 """
 
+import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import erf, wofz
 
+from cohom.analytic import local_intensity
 from cohom.montecarlo import (
+    CLICK_PATTERNS,
     DETECTOR_PAIRS,
     DETECTORS,
     OUTCOMES,
@@ -23,7 +33,11 @@ from cohom.montecarlo import (
     G2Estimate,
     PairSector,
     RunConfig,
+    _faddeeva,
+    _inject_accidentals,
+    click_pattern_table,
     detector_convolve,
+    detuning_cos_mean,
     g2_estimate,
     outcome_probabilities,
     outcome_probability_table,
@@ -59,6 +73,42 @@ def base_config(**overrides) -> RunConfig:
     )
     defaults.update(overrides)
     return RunConfig(**defaults)
+
+
+def per_slot_classical_run(config, rng) -> CountsAccumulator:
+    """Oracle for classical mode: every slot simulated one by one.
+
+    Each slot draws a detuning, clicks detector k with probability
+    mu * I_k(delta_f) and stamps every detector with its own jitter; a
+    pair counts when both detectors click within the window.  This is
+    the event-by-event sampler that the exact pattern draws replace.
+    """
+    n = config.n_pairs
+    acc = CountsAccumulator.empty()
+    delta = sample_detuning(rng, config.sigma_f, n)
+    prob = np.stack([config.mean_photon_number
+                     * local_intensity(k, delta, config.tau1, config.tau2)
+                     for k in DETECTORS], axis=1)
+    clicks = rng.random((n, 4)) < prob
+    times = detector_convolve(np.zeros((n, 4)), rng, config.pulse_sigma)
+    for k in DETECTORS:
+        acc.singles[k] += int(np.count_nonzero(clicks[:, k - 1]))
+    any_pair = np.zeros(n, dtype=bool)
+    for i, j in DETECTOR_PAIRS:
+        sel = (clicks[:, i - 1] & clicks[:, j - 1]
+               & (np.abs(times[:, i - 1] - times[:, j - 1])
+                  <= config.coincidence_window))
+        acc.coincidences[(i, j)] += int(np.count_nonzero(sel))
+        any_pair |= sel
+    acc.n_postselected = int(np.count_nonzero(any_pair))
+    acc.n_generated = n
+    _inject_accidentals(config, rng, n, acc)
+    return acc
+
+
+def count_vector(counts: CountsAccumulator) -> list:
+    return [*counts.singles.values(), *counts.coincidences.values(),
+            counts.n_postselected]
 
 
 class TestConfigValidation:
@@ -371,22 +421,142 @@ class TestSimulateClassical:
         off = simulate_run(base_config(mode="classical", heterodyne_filter=False))
         assert on == off
 
+    @pytest.mark.parametrize("tau2", [3e-6, 0.2e-6])
+    def test_count_means_match_per_slot_oracle(self, tau2):
+        # sigma_f (tau1 + tau2) = 1 and 0.3: fringe visibility 0.14 and
+        # 0.84; a window of 2 pulse widths makes three-click slots
+        # lose some of their pairs
+        config = base_config(mode="classical", sigma_f=2.5e5, tau1=1e-6,
+                             tau2=tau2, n_pairs=20_000, pulse_sigma=4e-9,
+                             higher_order_ratio=0.01)
+        seeds = range(200)
+        exact = np.array([count_vector(simulate_run(replace(config, seed=s)))
+                          for s in seeds])
+        oracle = np.array([count_vector(per_slot_classical_run(
+            config, np.random.default_rng([s, 1]))) for s in seeds])
+        spread = np.sqrt((exact.var(axis=0, ddof=1)
+                          + oracle.var(axis=0, ddof=1)) / len(seeds))
+        z = (exact.mean(axis=0) - oracle.mean(axis=0)) / spread
+        assert np.all(np.abs(z) <= 4.0), z
+
+    def test_zero_phase_and_jitter_is_deterministic(self):
+        # at sigma_f = 0 only D1 and D4 can click, at mu = 1 they always
+        # do, and without jitter their pair always lands in the window
+        n = 100_000
+        counts = simulate_run(base_config(mode="classical", sigma_f=0.0,
+                                          mean_photon_number=1.0,
+                                          pulse_sigma=0.0, n_pairs=n))
+        assert counts.singles == {1: n, 2: 0, 3: 0, 4: n}
+        assert counts.coincidences == {
+            p: (n if p == (1, 4) else 0) for p in DETECTOR_PAIRS}
+        assert counts.n_postselected == n
+
+
+class TestDetuningCosMean:
+    X = 4.0 / math.sqrt(2.0)
+    # y = |a| sigma_f / sqrt(2), from 0 through the truncation-dominated tail
+    YS = np.concatenate([[0.0], np.logspace(-8, 8, 161),
+                         np.linspace(0.0, 20.0, 201)])
+
+    def test_continued_fraction_matches_wofz(self):
+        for y in self.YS:
+            z = complex(y, self.X)
+            reference = complex(wofz(z))
+            assert abs(_faddeeva(z) - reference) <= 1e-13 * abs(reference)
+
+    def test_matches_complex_erf_oracle(self):
+        # exp(-y^2) Re erf(x - iy) / erf(x); scipy's erf overflows past
+        # y ~ 26, so the grid stops at 20
+        for y in self.YS[self.YS <= 20.0]:
+            reference = (math.exp(-y * y) * erf(complex(self.X, -y)).real
+                         / math.erf(self.X))
+            assert abs(detuning_cos_mean(math.sqrt(2.0) * y, 1.0)
+                       - reference) <= 1e-14
+
+    def test_truncation_term_survives_at_huge_spread(self):
+        # a sigma = 1e8: the Gaussian term is gone and only the cut at
+        # 4 sigma is left
+        x, y = self.X, 1e8 / math.sqrt(2.0)
+        mean = detuning_cos_mean(1e8 / 2e6, 2e6)
+        reference = -(cmath.exp(complex(-x * x, 2.0 * x * y))
+                      * complex(wofz(complex(y, x)))).real / math.erf(x)
+        assert mean != 0.0 and abs(mean) < 1e-4
+        assert abs(mean - reference) <= 1e-13 * abs(reference)
+
+    def test_no_spread_or_no_delay_is_exactly_one(self):
+        assert detuning_cos_mean(0.0, 2e6) == 1.0
+        assert detuning_cos_mean(3e-6, 0.0) == 1.0
+
+
+def pattern_table(**overrides) -> dict:
+    """Click-pattern probabilities of a classical config, by pattern."""
+    config = base_config(mode="classical", **overrides)
+    return dict(zip(CLICK_PATTERNS, click_pattern_table(config)))
+
+
+class TestClickPatternTable:
+    @pytest.mark.parametrize("overrides", [dict(sigma_f=0.0),
+                                           dict(tau1=0.0, tau2=0.0)])
+    @pytest.mark.parametrize("mu", [1e-4, 0.5, 0.9, 1.0])
+    def test_dark_ports_never_click_at_zero_phase(self, overrides, mu):
+        table = pattern_table(mean_photon_number=mu, **overrides)
+        expected = {(): (1 - mu) ** 2, (1,): mu * (1 - mu),
+                    (4,): mu * (1 - mu), (1, 4): mu * mu}
+        for fired, p in table.items():
+            if fired in expected:
+                assert p == pytest.approx(expected[fired], abs=1e-15)
+            else:
+                assert p == 0.0
+        if mu == 1.0:
+            assert table[(1, 4)] == 1.0
+            assert table[()] == table[(1,)] == table[(4,)] == 0.0
+
+    def test_tiny_mu_keeps_the_four_click_pattern(self):
+        # washed-out fringe: E[u^2 v^2] = 3/128, so four clicks have
+        # probability 3 mu^4 / 128, about 2e-18 at mu = 1e-4
+        mu = 1e-4
+        table = pattern_table(mean_photon_number=mu, sigma_f=2e7)
+        assert table[(1, 2, 3, 4)] == pytest.approx(3.0 * mu**4 / 128.0,
+                                                    rel=1e-9)
+
+    @pytest.mark.parametrize("sigma_f, tau", [(1e300, 1e10), (1.0, 1e308)])
+    def test_overflowing_phase_reads_as_a_washed_out_fringe(self, sigma_f,
+                                                            tau):
+        # the fringe phase overflows a float; its mean cosine is then 0
+        table = pattern_table(sigma_f=sigma_f, tau1=tau, tau2=tau)
+        washed_out = pattern_table(sigma_f=1e12, tau1=1e-6, tau2=0.0)
+        for fired, p in table.items():
+            assert math.isfinite(p)
+            assert p == pytest.approx(washed_out[fired], abs=1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(sigma_f=st.floats(0.0, 1e8), tau1=st.floats(0.0, 5e-6),
+           tau2=st.floats(0.0, 5e-6), mu=st.floats(1e-6, 1.0))
+    def test_probabilities_and_marginals(self, sigma_f, tau1, tau2, mu):
+        table = pattern_table(sigma_f=sigma_f, tau1=tau1, tau2=tau2,
+                              mean_photon_number=mu)
+        assert all(p >= 0.0 for p in table.values())
+        assert abs(sum(table.values()) - 1.0) <= 1e-12
+
+        a = 2.0 * (tau1 + tau2)
+        m1 = detuning_cos_mean(a, sigma_f)
+        for k, sign in ((1, 1.0), (2, -1.0), (3, -1.0), (4, 1.0)):
+            marginal = sum(p for fired, p in table.items() if k in fired)
+            assert marginal == pytest.approx(mu * (1.0 + sign * m1) / 2.0,
+                                             abs=1e-12)
+        # the fact the g2 = 1/2 floor rests on: <I1 I3> = (1 - E[c^2]) / 4
+        mean_c2 = (1.0 + detuning_cos_mean(2.0 * a, sigma_f)) / 2.0
+        pair = sum(p for fired, p in table.items()
+                   if 1 in fired and 3 in fired)
+        assert pair == pytest.approx(mu * mu * (1.0 - mean_c2) / 4.0,
+                                     abs=1e-12)
+
 
 class TestDeterminism:
     def test_bit_identical_reruns(self):
         for mode in ("amplitude", "classical"):
             cfg = base_config(mode=mode, n_pairs=70_000, higher_order_ratio=0.01)
             assert simulate_run(cfg) == simulate_run(cfg)
-
-    def test_chunk_streams_match_spawned_children(self):
-        # classical chunk i draws from SeedSequence(seed, spawn_key=(i,)),
-        # derived on demand; it must stay the stream spawn() hands out
-        for seed in (0, 1234, 2**63 + 5):
-            children = np.random.SeedSequence(seed).spawn(40)
-            for i in (0, 1, 7, 39):
-                lazy = np.random.SeedSequence(seed, spawn_key=(i,))
-                assert np.array_equal(lazy.generate_state(8),
-                                      children[i].generate_state(8))
 
     def test_filter_monotonicity(self):
         rng = np.random.default_rng(100)

@@ -7,6 +7,7 @@ import cohom.validation
 from cohom.optics import bench_detector_fields
 from cohom.validation import (
     _worst,
+    check_detuning_moments,
     check_element_unitarity,
     check_intensity_consistency,
     check_stage_composition,
@@ -51,6 +52,14 @@ def test_swapped_ports_fail_intensity_consistency(monkeypatch):
     assert not check_intensity_consistency().passed
 
 
+def test_wrong_detuning_width_fails_detuning_moments(monkeypatch):
+    assert check_detuning_moments().passed
+    # the characteristic function of a Gaussian sqrt(2) too wide
+    monkeypatch.setattr(cohom.validation, "detuning_cos_mean",
+                        lambda a, sigma_f: math.exp(-(a * sigma_f) ** 2))
+    assert not check_detuning_moments().passed
+
+
 def test_progress_labels_are_the_check_names():
     labels = []
     results = run_validation(progress=labels.append)
@@ -65,6 +74,7 @@ def test_progress_labels_are_the_check_names():
         "amplitude-singles",
         "classical-singles",
         "ensemble-quadrature",
+        "detuning-moments",
         "uniform-limit",
         "combination-table",
         "pair-chart",
