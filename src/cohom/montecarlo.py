@@ -430,40 +430,6 @@ def _inject_accidentals(config, rng, n_slots, acc) -> None:
         acc.coincidences[(i, j)] += int(rng.binomial(n_hit, p_window))
 
 
-def _amplitude_run(config) -> CountsAccumulator:
-    """Exact counts of a whole amplitude-mode run.
-
-    A pair is cross-path with probability 1/2; each class then draws one
-    multinomial over its outcome table.  Postselection keeps a
-    two-detector outcome whose stamps fall in the window and, with the
-    heterodyne filter on, only from the cross-path class.  The window
-    binomials of the same-path class are drawn with the filter on too, so
-    the filter only ever removes counts from the same draws.
-    """
-    rng = np.random.default_rng(config.seed)
-    p_window = _window_acceptance(config)
-    acc = CountsAccumulator.empty()
-    n_cross = int(rng.binomial(config.n_pairs, 0.5))
-    for cross_path, n_class in ((True, n_cross),
-                                (False, config.n_pairs - n_cross)):
-        kept_class = cross_path or not config.heterodyne_filter
-        hits = rng.multinomial(
-            n_class, outcome_probability_table(cross_path)).tolist()
-        for (i, j), n_hit in zip(OUTCOMES, hits):
-            acc.singles[i] += n_hit
-            acc.singles[j] += n_hit
-            if i == j:
-                continue
-            n_kept = int(rng.binomial(n_hit, p_window))
-            if kept_class:
-                acc.coincidences[(i, j)] += n_kept
-                acc.n_postselected += n_kept
-    acc.n_generated = config.n_pairs
-
-    _inject_accidentals(config, rng, config.n_pairs, acc)
-    return acc
-
-
 def _jittered_block(config, rng, fired, size) -> CountsAccumulator:
     """Window tests of ``size`` slots in which exactly ``fired`` clicked.
 
@@ -483,29 +449,36 @@ def _jittered_block(config, rng, fired, size) -> CountsAccumulator:
     return block
 
 
-def _classical_run(config) -> CountsAccumulator:
-    """Exact counts of a whole classical-mode run.
+def _draw_counts(config, entries, probs) -> CountsAccumulator:
+    """Exact counts of a whole run over one table of slot outcomes.
 
-    One multinomial over the click patterns gives the singles.  A
-    two-click slot passes the window with the pair's acceptance, so each
-    two-click pattern needs one binomial; slots with three or more
-    clicks draw their stamps in blocks of at most ``CHUNK_SIZE``.
+    ``entries`` pairs the detectors that click in an outcome (a double
+    hit lists its detector twice) with whether postselection may keep
+    it; ``probs`` holds their probabilities.  One multinomial over the
+    entries gives the singles.  Two distinct clicks pass the window with
+    the pair's acceptance, so each such entry needs one binomial, drawn
+    whether the entry is kept or not: a filter only ever removes counts
+    from the same draws.  Slots with three or more clicks draw their
+    stamps in blocks of at most ``CHUNK_SIZE``.
     """
     rng = np.random.default_rng(config.seed)
     p_window = _window_acceptance(config)
     acc = CountsAccumulator.empty()
-    hits = rng.multinomial(config.n_pairs, click_pattern_table(config))
-    for fired, n_hit in zip(CLICK_PATTERNS, hits.tolist()):
+    hits = rng.multinomial(config.n_pairs, probs)
+    for (fired, kept), n_hit in zip(entries, hits.tolist()):
         for k in fired:
             acc.singles[k] += n_hit
-        if len(fired) == 2:
+        if len(fired) == 2 and fired[0] != fired[1]:
             n_kept = int(rng.binomial(n_hit, p_window))
-            acc.coincidences[fired] += n_kept
-            acc.n_postselected += n_kept
+            if kept:
+                acc.coincidences[fired] += n_kept
+                acc.n_postselected += n_kept
         elif len(fired) > 2:
             for start in range(0, n_hit, CHUNK_SIZE):
-                acc.merge(_jittered_block(config, rng, fired,
-                                          min(CHUNK_SIZE, n_hit - start)))
+                block = _jittered_block(config, rng, fired,
+                                        min(CHUNK_SIZE, n_hit - start))
+                if kept:
+                    acc.merge(block)
     acc.n_generated = config.n_pairs
 
     _inject_accidentals(config, rng, config.n_pairs, acc)
@@ -515,13 +488,21 @@ def _classical_run(config) -> CountsAccumulator:
 def simulate_run(config: RunConfig) -> CountsAccumulator:
     """Run the full simulation described by ``config``.
 
-    Both modes draw the counts of the whole run from one generator
-    seeded with ``config.seed``, so the outcome is bit-identical across
-    reruns with the same config.
+    Classical mode draws over the click patterns, all kept.  Amplitude
+    mode draws over the outcomes of both path classes, each class at
+    half weight; the heterodyne filter keeps only the cross-path class.
+    The counts of the whole run come from one generator seeded with
+    ``config.seed``, so the outcome is bit-identical across reruns with
+    the same config.
     """
-    if config.mode == "amplitude":
-        return _amplitude_run(config)
-    return _classical_run(config)
+    if config.mode == "classical":
+        return _draw_counts(config, [(fired, True) for fired in CLICK_PATTERNS],
+                            click_pattern_table(config))
+    entries = [(outcome, cross_path or not config.heterodyne_filter)
+               for cross_path in (True, False) for outcome in OUTCOMES]
+    probs = np.concatenate([outcome_probability_table(cross_path) / 2.0
+                            for cross_path in (True, False)])
+    return _draw_counts(config, entries, probs)
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,7 @@ from cohom.montecarlo import (
     RunConfig,
     _faddeeva,
     _inject_accidentals,
+    _window_acceptance,
     click_pattern_table,
     detector_convolve,
     detuning_cos_mean,
@@ -106,9 +107,55 @@ def per_slot_classical_run(config, rng) -> CountsAccumulator:
     return acc
 
 
+def class_split_amplitude_run(config, rng) -> CountsAccumulator:
+    """Oracle for amplitude mode: the pairs split between the classes first.
+
+    A pair is cross-path with probability 1/2; each class then draws one
+    multinomial over its outcome table, and each two-detector outcome
+    one window binomial.  The heterodyne filter keeps only the
+    cross-path class.  This is the two-stage draw that the single
+    multinomial over both classes at half weight replaces.
+    """
+    p_window = _window_acceptance(config)
+    acc = CountsAccumulator.empty()
+    n_cross = int(rng.binomial(config.n_pairs, 0.5))
+    for cross_path, n_class in ((True, n_cross),
+                                (False, config.n_pairs - n_cross)):
+        kept_class = cross_path or not config.heterodyne_filter
+        hits = rng.multinomial(n_class, outcome_probability_table(cross_path))
+        for (i, j), n_hit in zip(OUTCOMES, hits.tolist()):
+            acc.singles[i] += n_hit
+            acc.singles[j] += n_hit
+            if i != j and kept_class:
+                n_kept = int(rng.binomial(n_hit, p_window))
+                acc.coincidences[(i, j)] += n_kept
+                acc.n_postselected += n_kept
+    acc.n_generated = config.n_pairs
+    _inject_accidentals(config, rng, config.n_pairs, acc)
+    return acc
+
+
 def count_vector(counts: CountsAccumulator) -> list:
     return [*counts.singles.values(), *counts.coincidences.values(),
             counts.n_postselected]
+
+
+def assert_count_means_match(config, oracle, seeds=range(200)):
+    """Mean count vectors of ``simulate_run`` and ``oracle`` agree.
+
+    Each count's mean over ``seeds`` must lie within 4 standard errors of
+    the oracle's; a count that never varies must agree exactly.
+    """
+    exact = np.array([count_vector(simulate_run(replace(config, seed=s)))
+                      for s in seeds])
+    expected = np.array([count_vector(oracle(
+        config, np.random.default_rng([s, 1]))) for s in seeds])
+    diff = exact.mean(axis=0) - expected.mean(axis=0)
+    spread = np.sqrt((exact.var(axis=0, ddof=1)
+                      + expected.var(axis=0, ddof=1)) / len(seeds))
+    z = np.divide(diff, spread, out=np.zeros_like(diff), where=spread > 0)
+    assert np.all(diff[spread == 0] == 0.0), diff
+    assert np.all(np.abs(z) <= 4.0), z
 
 
 class TestConfigValidation:
@@ -380,6 +427,15 @@ class TestSimulateAmplitude:
             assert counts.coincidences == reference.coincidences
             assert counts.n_postselected == reference.n_postselected
 
+    @pytest.mark.parametrize("heterodyne_filter", [True, False])
+    def test_count_means_match_class_split_oracle(self, heterodyne_filter):
+        # a window of 2 pulse widths drops some correlated pairs; with the
+        # filter on the anticorrelated pairs see accidentals only
+        config = base_config(n_pairs=20_000, pulse_sigma=4e-9,
+                             higher_order_ratio=0.01,
+                             heterodyne_filter=heterodyne_filter)
+        assert_count_means_match(config, class_split_amplitude_run)
+
     def test_accidental_floor(self):
         n = 200_000
         ratio = 0.01
@@ -429,15 +485,7 @@ class TestSimulateClassical:
         config = base_config(mode="classical", sigma_f=2.5e5, tau1=1e-6,
                              tau2=tau2, n_pairs=20_000, pulse_sigma=4e-9,
                              higher_order_ratio=0.01)
-        seeds = range(200)
-        exact = np.array([count_vector(simulate_run(replace(config, seed=s)))
-                          for s in seeds])
-        oracle = np.array([count_vector(per_slot_classical_run(
-            config, np.random.default_rng([s, 1]))) for s in seeds])
-        spread = np.sqrt((exact.var(axis=0, ddof=1)
-                          + oracle.var(axis=0, ddof=1)) / len(seeds))
-        z = (exact.mean(axis=0) - oracle.mean(axis=0)) / spread
-        assert np.all(np.abs(z) <= 4.0), z
+        assert_count_means_match(config, per_slot_classical_run)
 
     def test_zero_phase_and_jitter_is_deterministic(self):
         # at sigma_f = 0 only D1 and D4 can click, at mu = 1 they always
