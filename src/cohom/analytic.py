@@ -65,10 +65,22 @@ def ensemble_intensity(port: int, sigma_f, tau1, tau2):
 
 
 def fringe_visibility(sigma_f, tau1, tau2):
-    """Envelope exp(-2 sigma_f^2 (tau1+tau2)^2) of the ensemble fringe."""
-    x = np.asarray(sigma_f) * (np.asarray(tau1) + np.asarray(tau2))
-    out = np.exp(-2.0 * x**2)
+    """Envelope exp(-2 sigma_f^2 (tau1+tau2)^2) of the ensemble fringe.
+
+    A spread whose phase overflows a float gives a washed-out fringe,
+    envelope 0.0.
+    """
+    with np.errstate(over="ignore"):
+        out = np.exp(-2.0 * _arm_phase(sigma_f, tau1, tau2) ** 2)
     return out if out.ndim else float(out)
+
+
+def _arm_phase(delta_f, tau1, tau2) -> np.ndarray:
+    """Arm phase delta_f * (tau1 + tau2) as an array; inf where it
+    overflows a float."""
+    with np.errstate(over="ignore"):
+        return np.asarray(delta_f, dtype=float) * (
+            np.asarray(tau1, dtype=float) + np.asarray(tau2, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -84,11 +96,12 @@ def _cross_port_rate(port_i: int, port_j: int, delta_f, tau1, tau2):
     photon cannot trigger both detectors, and equal-offset pairs are removed
     by the heterodyne stage, so only cross-arm terms survive.
     """
-    delta_f = np.asarray(delta_f, dtype=float)
-    tau1 = np.asarray(tau1, dtype=float)
-    tau2 = np.asarray(tau2, dtype=float)
-    u = np.exp(1j * delta_f * (tau1 + tau2))
-    d = np.exp(-1j * delta_f * (tau1 + tau2))
+    phase = _arm_phase(delta_f, tau1, tau2)
+    # the rate does not depend on the phase, so a phase past the float
+    # range (a washed-out fringe) may stand at zero
+    phase = np.where(np.isfinite(phase), phase, 0.0)
+    u = np.exp(1j * phase)
+    d = np.exp(-1j * phase)
     i_up, i_down = _PORT_COEFFS[port_i]
     j_up, j_down = _PORT_COEFFS[port_j]
     amp = (i_up * u) * (j_down * d) + (i_down * d) * (j_up * u)

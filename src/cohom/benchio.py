@@ -470,33 +470,3 @@ def render_results(result: RunResult, fmt: str) -> str:
         return render_results_json(result)
     raise ValueError(f"unknown format '{fmt}'")
 
-
-def _row_from_values(values: list) -> ResultRow:
-    return ResultRow(**{field: kind(value) for (_, field, kind), value
-                        in zip(_COLUMNS, values)})
-
-
-def parse_results_csv(text: str) -> list:
-    """Read back a results CSV; the header must match exactly."""
-    lines = [line for line in text.splitlines() if line]
-    if not lines or lines[0] != CSV_HEADER:
-        raise BenchIOError("unrecognized results CSV header")
-    rows = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) != len(_COLUMNS):
-            raise BenchIOError(f"expected {len(_COLUMNS)} columns, "
-                               f"got {len(parts)}")
-        rows.append(_row_from_values(parts))
-    return rows
-
-
-def parse_results_json(text: str) -> RunResult:
-    """Read back a results JSON document; ``null`` values become NaN."""
-    payload = json.loads(text)
-    rows = tuple(
-        _row_from_values([math.nan if entry[name] is None else entry[name]
-                          for name, _, _ in _COLUMNS])
-        for entry in payload["rows"]
-    )
-    return RunResult(rows=rows, manifest=payload["manifest"])

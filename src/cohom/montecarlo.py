@@ -19,12 +19,8 @@ Two simulation modes:
     leakage (removed by the heterodyne filter) or injected accidentals.
     The detuning, the delays and the optical phase enter the pairing
     sums only as unit-modulus factors, so the table is one fixed table
-    per path class (cross-path or same-path).  A run therefore draws its
-    exact counts directly: a binomial split between the classes, a
-    multinomial over the outcomes of each class and a binomial window
-    acceptance per two-detector outcome.  Its cost does not grow with
-    ``n_pairs``, and ``sigma_f``, ``tau1`` and ``tau2`` cannot move its
-    counts.
+    per path class (cross-path or same-path), and ``sigma_f``, ``tau1``
+    and ``tau2`` cannot move the counts.
 
 ``classical``
     Independent per-detector intensity sampling: every detector clicks
@@ -34,13 +30,19 @@ Two simulation modes:
     Given the detuning the four clicks are independent, so a slot falls
     into one of 16 click patterns whose probabilities need only
     E[cos(m theta)], m = 1..4, of the fringe phase theta; under the
-    truncated Gaussian detuning those means have a closed form.  A run
-    draws one multinomial over the patterns and a binomial window
-    acceptance per two-click pattern.  Only slots with three or more
-    clicks draw jitter stamps; their number grows as
-    ``n_pairs * mean_photon_number**3`` (under 3 % of the slots at 0.5).
-    They are drawn in blocks of at most ``CHUNK_SIZE`` slots merged as each
-    one finishes, so memory stays bounded by one block.
+    Gaussian detuning those means are the ensemble fringe envelope of
+    :mod:`cohom.analytic`.
+
+Both modes draw the exact counts of a whole run in one loop over a table
+of slot outcomes: the 20 (path class, outcome) pairs at half weight in
+amplitude mode, the 16 click patterns in classical mode.  One
+multinomial over the table gives the singles, one binomial window
+acceptance per two-detector outcome gives its coincidences, and only
+outcomes with three or more clicks draw jitter stamps; their number
+grows as ``n_pairs * mean_photon_number**3`` (under 3 % of the slots at
+0.5).  They are drawn in blocks of at most ``CHUNK_SIZE`` slots merged as
+each one finishes, so memory stays bounded by one block.  Otherwise the
+cost of a run does not grow with ``n_pairs``.
 
 Runs are deterministic: the same config gives the same counts.  A delay
 scan derives one seed per point, so its points may run on any number of
@@ -59,7 +61,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .analytic import local_intensity
+from .analytic import fringe_visibility, local_intensity
 from .optics import PathTag, detector_path_coefficients
 
 #: most slots a classical run draws jitter stamps for at once
@@ -85,9 +87,6 @@ CLICK_PATTERNS = tuple(
 _MAX_PAIRS = 2**63 - 1
 
 _SQRT2 = math.sqrt(2.0)
-
-#: sample_detuning cuts the Gaussian detuning at this many sigma_f
-_DETUNING_CUT = 4.0
 _MODES = ("amplitude", "classical")
 
 
@@ -185,60 +184,8 @@ class RunConfig:
 
 
 def sample_detuning(rng, sigma_f, size) -> np.ndarray:
-    """Draw ``size`` detunings from Normal(0, sigma_f^2) cut at +/-4 sigma.
-
-    Rejection sampling keeps the Gaussian shape inside the truncation
-    bound; results are deterministic for a given generator state.
-    """
-    if sigma_f == 0.0:
-        return np.zeros(size)
-    out = rng.normal(0.0, sigma_f, size)
-    bound = _DETUNING_CUT * sigma_f
-    bad = np.abs(out) > bound
-    while bad.any():
-        out[bad] = rng.normal(0.0, sigma_f, int(bad.sum()))
-        bad = np.abs(out) > bound
-    return out
-
-
-#: terms of the continued fraction in :func:`_faddeeva`
-_FADDEEVA_TERMS = 40
-
-
-def _faddeeva(z: complex) -> complex:
-    """Faddeeva function w(z) = exp(-z^2) erfc(-iz) for Im z >= 2*sqrt(2).
-
-    Laplace's continued fraction (Gautschi 1970, SIAM J. Numer. Anal.
-    7:187), w(z) = (i/sqrt(pi)) / (z - (1/2)/(z - 1/(z - (3/2)/(z - ...)))),
-    evaluated from the tail.  At Im z = 2*sqrt(2), the only place it is
-    used, 40 terms reach double precision for every Re z.
-    """
-    tail = 0j
-    for k in range(_FADDEEVA_TERMS, 0, -1):
-        tail = 0.5 * k / (z - tail)
-    return 1j / math.sqrt(math.pi) / (z - tail)
-
-
-def detuning_cos_mean(a, sigma_f) -> float:
-    """E[cos(a * delta)] for the detuning drawn by :func:`sample_detuning`.
-
-    For delta ~ Normal(0, sigma_f^2) cut at +/-4 sigma_f, with
-    x = 4/sqrt(2) and y = |a| sigma_f / sqrt(2), the mean is
-    exp(-y^2) Re erf(x - iy) / erf(x).  Through the Faddeeva function it
-    reads [exp(-y^2) - Re(exp(-x^2 + 2ixy) w(y + ix))] / erf(x), which
-    stays finite at every y and keeps the truncation term that remains
-    once exp(-y^2) has vanished.
-    """
-    if a == 0.0 or sigma_f == 0.0:
-        return 1.0
-    x = _DETUNING_CUT / _SQRT2
-    y = abs(a) * sigma_f / _SQRT2
-    phase = 2.0 * x * y
-    if math.isinf(phase):
-        # |mean| < exp(-x^2) / (sqrt(pi) y erf(x)), far below 1e-300 here
-        return 0.0
-    tail = cmath.exp(complex(-x * x, phase)) * _faddeeva(complex(y, x))
-    return (math.exp(-y * y) - tail.real) / math.erf(x)
+    """Draw ``size`` detunings from Normal(0, sigma_f^2)."""
+    return rng.normal(0.0, sigma_f, size)
 
 
 def pair_amplitudes(delta_f, tau1, tau2, global_phase, sector) -> dict:
@@ -311,12 +258,14 @@ def click_pattern_table(config) -> np.ndarray:
     ports (D1, D4) and v on the dark ones (D2, D3).  With u + v = 1 a
     miss is a non-negative form too, 1 - mu u = (1 - mu) u + v, so every
     pattern probability is a non-negative combination of the moments
-    E[u^i v^(4-i)].  No probability can come out negative, and one that
-    is zero in exact arithmetic (a dark port at theta = 0, a miss at
-    mu = 1) is exactly 0.0.
+    E[u^i v^(4-i)].  Under the Gaussian detuning E[cos(m theta)] is the
+    fringe envelope at m sigma_f, :func:`cohom.analytic.fringe_visibility`.
+    No probability can come out negative, and one that is zero in exact
+    arithmetic (a dark port at theta = 0, a miss at mu = 1) is exactly
+    0.0.
     """
-    a = 2.0 * (config.tau1 + config.tau2)
-    cos_means = [1.0, *(detuning_cos_mean(m * a, config.sigma_f)
+    cos_means = [1.0, *(fringe_visibility(m * config.sigma_f, config.tau1,
+                                          config.tau2)
                         for m in (1, 2, 3, 4))]
     # cancellation can leave a vanishing moment a rounding error below 0
     moments = np.maximum(_FRINGE_POWERS @ cos_means, 0.0)

@@ -9,6 +9,7 @@ under two minutes on a laptop.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
@@ -22,13 +23,20 @@ from .analytic import (
     coincidence_r24,
     ensemble_intensity,
     enumerate_combinations,
+    fringe_visibility,
     local_intensity,
     pair_chart,
 )
 from .montecarlo import (
+    CLICK_PATTERNS,
+    OUTCOMES,
+    PairSector,
     RunConfig,
-    detuning_cos_mean,
+    click_pattern_table,
     g2_estimate,
+    outcome_probabilities,
+    outcome_probability_table,
+    pair_amplitudes,
     sample_detuning,
     scan_tau21,
     simulate_run,
@@ -179,6 +187,23 @@ def check_amplitude_singles() -> CheckResult:
                    "singles distance to n/2 in standard errors")
 
 
+def check_outcome_table() -> CheckResult:
+    rng = np.random.default_rng(VALIDATION_SEED + 4)
+    worst = 0.0
+    for sector in PairSector:
+        table = outcome_probability_table(sector.is_cross_path)
+        for delta_f in sample_detuning(rng, 1.5e6, 25):
+            tau1, tau2 = rng.uniform(0.0, 5e-6, 2)
+            phase = rng.uniform(0.0, 2.0 * math.pi)
+            probs = outcome_probabilities(pair_amplitudes(
+                delta_f, tau1, tau2, phase, sector))
+            worst = _worst(worst, *(abs(p - probs[outcome])
+                                    for p, outcome in zip(table, OUTCOMES)))
+    return _result("outcome-table", worst, 1e-12,
+                   "class outcome tables vs pair amplitudes at 25 random "
+                   "detunings, delays and phases per sector")
+
+
 def check_classical_singles() -> CheckResult:
     config = RunConfig(sigma_f=2.5e5, tau1=1e-6, tau2=1e-6,
                        mean_photon_number=0.5, n_pairs=400_000,
@@ -216,22 +241,32 @@ def check_ensemble_quadrature() -> CheckResult:
                    "ensemble intensity vs Gauss-Hermite quadrature")
 
 
-def check_detuning_moments() -> CheckResult:
-    sigma = 1.5e6
-    n = 200_000
-    draws = sample_detuning(np.random.default_rng(VALIDATION_SEED + 4),
-                            sigma, n)
+def _click_marginal(table, *clicked) -> float:
+    """Probability that every detector in ``clicked`` fires in one slot."""
+    return sum(p for fired, p in zip(CLICK_PATTERNS, table)
+               if set(clicked) <= set(fired))
+
+
+def check_classical_marginals() -> CheckResult:
     worst = 0.0
-    for a_sigma in (0.3, 1.0, 2.5):
-        for m in (1, 2, 3, 4):
-            a = m * a_sigma / sigma
-            values = np.cos(a * draws)
-            se = float(np.std(values)) / math.sqrt(n)
-            worst = _worst(worst, abs(float(np.mean(values))
-                                      - detuning_cos_mean(a, sigma)) / se)
-    return _result("detuning-moments", worst, 5.0,
-                   "closed-form E[cos(m a delta)] vs 2e5 truncated draws "
-                   "in standard errors")
+    grid = itertools.product((0.0, 1e5, 5e5, 1.5e6, 1e7),
+                             ((0.0, 0.0), (1e-6, 1e-6), (0.3e-6, 2e-6)),
+                             (0.1, 0.5, 1.0))
+    for sigma_f, (tau1, tau2), mu in grid:
+        table = click_pattern_table(RunConfig(
+            sigma_f, tau1, tau2, mean_photon_number=mu, mode="classical"))
+        for k in (1, 2, 3, 4):
+            worst = _worst(worst, abs(
+                _click_marginal(table, k)
+                - mu * ensemble_intensity(k, sigma_f, tau1, tau2)))
+        # <I1 I3> = <I2 I4> = (1 - E[cos 2 theta]) / 8
+        pair = mu * mu * (1.0 - fringe_visibility(
+            2.0 * sigma_f, tau1, tau2)) / 8.0
+        worst = _worst(worst, abs(_click_marginal(table, 1, 3) - pair),
+                       abs(_click_marginal(table, 2, 4) - pair))
+    return _result("classical-marginals", worst, 1e-12,
+                   "click-pattern marginals vs ensemble intensities and "
+                   "pair moments on a 45-point grid")
 
 
 def check_uniform_limit() -> CheckResult:
@@ -423,9 +458,10 @@ def run_validation(progress: Optional[Callable[[str], None]] = None) -> list:
     run("intensity-consistency", check_intensity_consistency)
     run("intensity-conservation", check_intensity_conservation)
     run("amplitude-singles", check_amplitude_singles)
+    run("outcome-table", check_outcome_table)
     run("classical-singles", check_classical_singles)
     run("ensemble-quadrature", check_ensemble_quadrature)
-    run("detuning-moments", check_detuning_moments)
+    run("classical-marginals", check_classical_marginals)
     run("uniform-limit", check_uniform_limit)
     run("combination-table", check_combination_table)
     run("pair-chart", check_pair_chart)

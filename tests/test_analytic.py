@@ -6,7 +6,9 @@ explicit two-term complex sums (for the cross-port cancellations).
 """
 
 import cmath
+import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from cohom.analytic import (
     local_intensity,
     pair_chart,
 )
+from cohom.cli import main
 from cohom.optics import (
     PathTag,
     Polarization,
@@ -204,6 +207,39 @@ class TestCoincidences:
         r24 = coincidence_r24(*grid)
         assert float(np.max(np.abs(r13))) < 1e-12
         assert float(np.max(np.abs(r24))) < 1e-12
+
+
+class TestOverflowingPhase:
+    """A phase past the float range reads as a washed-out fringe."""
+
+    @pytest.mark.parametrize("sigma_f, tau", [(2.0 * math.pi * 1e299, 1e10),
+                                              (1.0, 1e308)])
+    def test_closed_forms(self, sigma_f, tau):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert fringe_visibility(sigma_f, tau, tau) == 0.0
+            for k in (1, 2, 3, 4):
+                assert ensemble_intensity(k, sigma_f, tau, tau) == 0.5
+            assert coincidence_r13(sigma_f, tau, tau) == 0.0
+            assert coincidence_r24(sigma_f, tau, tau) == 0.0
+            # one overflowing entry leaves the rest of a grid alone
+            delays = np.array([tau, 1e-6])
+            r13 = coincidence_r13(sigma_f, delays, delays)
+            assert r13[0] == 0.0 and abs(r13[1]) < 1e-12
+
+    def test_analytic_command(self, tmp_path, capsys):
+        config = tmp_path / "overflow.ini"
+        config.write_text("[bench]\nsigma_f_hz = 1e299\ntau1_s = 1e10\n"
+                          "tau21_scan_start_s = 0\ntau21_scan_stop_s = 1e-6\n"
+                          "tau21_scan_steps = 3\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["analytic", "--config", str(config), "--quiet"]) == 0
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        assert len(rows) == 3
+        for row in rows:
+            assert row["R13"] == row["R24"] == "0"
+            assert [row[f"I{k}"] for k in (1, 2, 3, 4)] == ["0.5"] * 4
 
 
 class TestClassicalBaseline:

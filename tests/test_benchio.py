@@ -10,20 +10,18 @@ from hypothesis import strategies as st
 
 from cohom.analytic import ensemble_intensity
 from cohom.benchio import (
-    BenchIOError,
     CSV_HEADER,
     ConfigParseError,
     ResultRow,
     RunResult,
     ScanSpec,
+    _COLUMNS,
     _MAX_SCAN_STEPS,
     _SCAN_KEYS,
     _SCHEMA,
     analytic_rows,
     make_manifest,
     parse_config,
-    parse_results_csv,
-    parse_results_json,
     render_config,
     render_results_csv,
     render_results_json,
@@ -432,6 +430,37 @@ class TestRows:
         assert row.i1 == counts.singles[1] / (counts.n_generated * 0.5)
 
 
+def row_from_values(values: list) -> ResultRow:
+    return ResultRow(**{field: kind(value) for (_, field, kind), value
+                        in zip(_COLUMNS, values)})
+
+
+def parse_results_csv(text: str) -> list:
+    """Oracle: read back a results CSV; the header must match exactly."""
+    lines = [line for line in text.splitlines() if line]
+    if not lines or lines[0] != CSV_HEADER:
+        raise ValueError("unrecognized results CSV header")
+    rows = []
+    for line in lines[1:]:
+        parts = line.split(",")
+        if len(parts) != len(_COLUMNS):
+            raise ValueError(f"expected {len(_COLUMNS)} columns, "
+                             f"got {len(parts)}")
+        rows.append(row_from_values(parts))
+    return rows
+
+
+def parse_results_json(text: str) -> RunResult:
+    """Oracle: read back a results JSON document; ``null`` becomes NaN."""
+    payload = json.loads(text)
+    rows = tuple(
+        row_from_values([math.nan if entry[name] is None else entry[name]
+                         for name, _, _ in _COLUMNS])
+        for entry in payload["rows"]
+    )
+    return RunResult(rows=rows, manifest=payload["manifest"])
+
+
 def sample_result() -> RunResult:
     config = RunConfig(sigma_f=2.5e5, tau1=1e-6, tau2=1e-6, seed=11)
     rows = tuple(analytic_rows(config, [-1e-7, 0.0, 1e-7]))
@@ -460,7 +489,7 @@ class TestResultsSerialization:
         assert again == text
 
     def test_csv_rejects_foreign_header(self):
-        with pytest.raises(BenchIOError):
+        with pytest.raises(ValueError):
             parse_results_csv("a,b,c\n1,2,3\n")
 
     def test_json_mirrors_rows_and_manifest(self):

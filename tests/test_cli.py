@@ -350,12 +350,12 @@ class TestValidate:
         assert main(["validate"]) == 1
         out = capsys.readouterr()
         rows = out.out.strip().splitlines()[1:]
-        assert len(rows) == 18
+        assert len(rows) == 19
         failed = [row.split(",")[0] for row in rows if ",fail," in row]
         assert failed == ["element-unitarity", "stage-composition"]
         assert "stage-composition,fail,nan," in out.out
         assert "Traceback" not in out.err
-        assert out.err.endswith("validate: 2 of 18 checks failed\n")
+        assert out.err.endswith("validate: 2 of 19 checks failed\n")
 
     def test_progress_on_stderr(self, capsys):
         assert main(["enumerate"]) == 0

@@ -2,12 +2,14 @@
 suite runs them under fixed names."""
 
 import math
+from dataclasses import replace
 
 import cohom.validation
+from cohom.montecarlo import click_pattern_table
 from cohom.optics import bench_detector_fields
 from cohom.validation import (
     _worst,
-    check_detuning_moments,
+    check_classical_marginals,
     check_element_unitarity,
     check_intensity_consistency,
     check_stage_composition,
@@ -52,12 +54,14 @@ def test_swapped_ports_fail_intensity_consistency(monkeypatch):
     assert not check_intensity_consistency().passed
 
 
-def test_wrong_detuning_width_fails_detuning_moments(monkeypatch):
-    assert check_detuning_moments().passed
-    # the characteristic function of a Gaussian sqrt(2) too wide
-    monkeypatch.setattr(cohom.validation, "detuning_cos_mean",
-                        lambda a, sigma_f: math.exp(-(a * sigma_f) ** 2))
-    assert not check_detuning_moments().passed
+def test_wrong_detuning_width_fails_classical_marginals(monkeypatch):
+    assert check_classical_marginals().passed
+    # a pattern table built for a detuning spread 1 % too wide
+    monkeypatch.setattr(
+        cohom.validation, "click_pattern_table",
+        lambda config: click_pattern_table(
+            replace(config, sigma_f=1.01 * config.sigma_f)))
+    assert not check_classical_marginals().passed
 
 
 def test_progress_labels_are_the_check_names():
@@ -72,9 +76,10 @@ def test_progress_labels_are_the_check_names():
         "intensity-consistency",
         "intensity-conservation",
         "amplitude-singles",
+        "outcome-table",
         "classical-singles",
         "ensemble-quadrature",
-        "detuning-moments",
+        "classical-marginals",
         "uniform-limit",
         "combination-table",
         "pair-chart",
