@@ -104,7 +104,9 @@ def _cross_port_rate(port_i: int, port_j: int, delta_f, tau1, tau2):
     d = np.exp(-1j * phase)
     i_up, i_down = _PORT_COEFFS[port_i]
     j_up, j_down = _PORT_COEFFS[port_j]
-    amp = (i_up * u) * (j_down * d) + (i_down * d) * (j_up * u)
+    # both assignments carry the same arm product u d, so the coefficient
+    # sum is formed first: for ports (1, 3) and (2, 4) it is exactly 0
+    amp = (i_up * j_down + i_down * j_up) * (u * d)
     out = np.abs(amp) ** 2
     return out if out.ndim else float(out)
 

@@ -37,7 +37,6 @@ from .benchio import (
     simulation_rows,
 )
 from .montecarlo import ConfigError, ScanPoint, scan_tau21, simulate_run
-from .validation import run_validation
 
 COMBO_CSV_HEADER = "path_1,path_2,pol_1,pol_2,port_a,port_b,classification"
 
@@ -189,6 +188,9 @@ def cmd_table(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    # imported here so that the other commands skip its start-up cost
+    from .validation import run_validation
+
     progress = _progress(args)
     results = run_validation(progress=progress)
     _emit(render_report(results, args.format), args.out)

@@ -19,8 +19,9 @@ Two simulation modes:
     leakage (removed by the heterodyne filter) or injected accidentals.
     The detuning, the delays and the optical phase enter the pairing
     sums only as unit-modulus factors, so the table is one fixed table
-    per path class (cross-path or same-path), and ``sigma_f``, ``tau1``
-    and ``tau2`` cannot move the counts.
+    per path class (cross-path or same-path), built once per process and
+    shared read-only, and ``sigma_f``, ``tau1`` and ``tau2`` cannot move
+    the counts.
 
 ``classical``
     Independent per-detector intensity sampling: every detector clicks
@@ -52,9 +53,9 @@ threads without changing a count.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import NamedTuple
@@ -218,6 +219,7 @@ def outcome_probabilities(joint_amplitudes: dict) -> dict:
     return {pair: q / total for pair, q in weights.items()}
 
 
+@functools.cache
 def outcome_probability_table(cross_path: bool) -> np.ndarray:
     """Outcome probabilities over :data:`OUTCOMES` for one path class.
 
@@ -226,6 +228,8 @@ def outcome_probability_table(cross_path: bool) -> np.ndarray:
     detuning, the delays and the optical phase enter the pairing sums
     only as unit-modulus factors, so one evaluation of
     :func:`pair_amplitudes` at zero stands for every pair of the class.
+    Each table is therefore built once per process; every caller gets
+    the same read-only array.
     """
     sector = PairSector.UD if cross_path else PairSector.UU
     probs = outcome_probabilities(pair_amplitudes(0.0, 0.0, 0.0, 0.0, sector))
@@ -234,6 +238,7 @@ def outcome_probability_table(cross_path: bool) -> np.ndarray:
     # general detuning); a per-event sampler drawing uniforms on the
     # 2**-53 grid could not reach them either, so they are exact zeros.
     table[table < np.finfo(float).eps] = 0.0
+    table.setflags(write=False)
     return table
 
 
@@ -481,6 +486,10 @@ def scan_tau21(config: RunConfig, tau21_values, workers: int = 1) -> list:
     if workers <= 1:
         counts = [simulate_run(c) for c in point_configs]
     else:
+        # imported here so that a serial scan and every other command
+        # skip its start-up cost
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             counts = list(pool.map(simulate_run, point_configs))
     return [

@@ -208,6 +208,15 @@ class TestCoincidences:
         assert float(np.max(np.abs(r13))) < 1e-12
         assert float(np.max(np.abs(r24))) < 1e-12
 
+    def test_exactly_zero_on_validate_grid(self):
+        # the grid of validate's analytic-coincidence-zero check: the two
+        # pairing terms share one arm product, so arrays cancel exactly too
+        grid = np.meshgrid(np.linspace(-5e6, 5e6, 50),
+                           np.linspace(0.0, 5e-6, 50),
+                           np.linspace(0.0, 5e-6, 50), indexing="ij")
+        assert not np.any(coincidence_r13(*grid))
+        assert not np.any(coincidence_r24(*grid))
+
 
 class TestOverflowingPhase:
     """A phase past the float range reads as a washed-out fringe."""

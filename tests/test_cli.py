@@ -4,10 +4,14 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
+import cohom
 from cohom.analytic import pair_chart
 from cohom.cli import _emit, main
 
@@ -370,3 +374,16 @@ class TestValidate:
         assert "element-unitarity" in names
         assert all("measured" in c and "tolerance" in c
                    for c in payload["checks"])
+
+
+def test_import_skips_modules_only_some_commands_run():
+    # validate imports its suite, and a threaded scan its pool, on demand
+    src = str(Path(cohom.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, cohom.cli; print(sorted(m for m in "
+            "('cohom.validation', 'concurrent.futures') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

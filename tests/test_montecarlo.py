@@ -329,6 +329,36 @@ class TestOutcomeTable:
         for pair in ANTICORRELATED:
             assert cross[pair] == 0.0
 
+    def test_built_once_per_process(self):
+        for cross_path in (True, False):
+            assert (outcome_probability_table(cross_path)
+                    is outcome_probability_table(cross_path))
+
+    def test_read_only(self):
+        table = outcome_probability_table(True)
+        with pytest.raises(ValueError):
+            table[0] = 0.5
+
+    def test_runs_leave_table_unchanged(self):
+        before = {c: outcome_probability_table(c).copy() for c in (True, False)}
+        for heterodyne_filter in (True, False):
+            simulate_run(base_config(n_pairs=20_000,
+                                     heterodyne_filter=heterodyne_filter))
+        for cross_path, table in before.items():
+            np.testing.assert_array_equal(
+                outcome_probability_table(cross_path), table)
+
+    @pytest.mark.parametrize("heterodyne_filter", [True, False])
+    def test_cold_and_warm_cache_scans_agree(self, heterodyne_filter):
+        cfg = base_config(n_pairs=20_000, higher_order_ratio=0.01,
+                          heterodyne_filter=heterodyne_filter)
+        values = np.linspace(-1e-7, 1e-7, 3)
+        outcome_probability_table.cache_clear()
+        cold = scan_tau21(cfg, values)
+        assert outcome_probability_table.cache_info().currsize == 2
+        warm = scan_tau21(cfg, values)
+        assert [p.counts for p in cold] == [p.counts for p in warm]
+
 
 class TestSimulateAmplitude:
     def test_anticorrelated_counts_exactly_zero(self):
