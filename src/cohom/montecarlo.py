@@ -52,7 +52,6 @@ threads without changing a count.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import itertools
 import math
@@ -189,6 +188,21 @@ def sample_detuning(rng, sigma_f, size) -> np.ndarray:
     return rng.normal(0.0, sigma_f, size)
 
 
+def _complex_product(a, b) -> np.ndarray:
+    """a * b for complex arrays, formed from real products as Python forms it.
+
+    numpy's complex multiply loops may fuse one of the two real products
+    into the other (a fused multiply-add), so their result can differ in
+    the last bit from the plain product, and the two pairing terms of a
+    suppressed outcome would no longer cancel exactly.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
 def pair_amplitudes(delta_f, tau1, tau2, global_phase, sector) -> dict:
     """Joint two-photon amplitude of each outcome for one pair in a sector.
 
@@ -196,14 +210,19 @@ def pair_amplitudes(delta_f, tau1, tau2, global_phase, sector) -> dict:
     bench coefficient for that tag (renormalized by sqrt(2): one tag holds
     half the single-photon norm).  The unordered outcome (Di, Dj) gets the
     exchange-symmetrized pairing sum; the shared global phase multiplies
-    both photons and cancels in every probability.
+    both photons and cancels in every probability.  The parameters are
+    scalars or equal-shape arrays, one pair per entry.
     """
     coeffs = detector_path_coefficients(delta_f, tau1, tau2)
-    common = cmath.exp(1j * global_phase)
-    psi_1 = {k: _SQRT2 * coeffs[k][sector.path_1] * common for k in DETECTORS}
-    psi_2 = {k: _SQRT2 * coeffs[k][sector.path_2] * common for k in DETECTORS}
-    return {(i, j): psi_1[i] * psi_2[j] + psi_1[j] * psi_2[i]
-            for i, j in OUTCOMES}
+    common = np.exp(1j * global_phase)
+    # each photon's amplitudes over DETECTORS, stacked so that a scalar
+    # call runs the same numpy loops as an array call
+    psi_1, psi_2 = (_complex_product(
+        _SQRT2 * np.array([coeffs[k][path] for k in DETECTORS]), common)
+        for path in sector.value)
+    i, j = np.array(OUTCOMES).T - 1
+    return dict(zip(OUTCOMES, _complex_product(psi_1[i], psi_2[j])
+                    + _complex_product(psi_1[j], psi_2[i])))
 
 
 def outcome_probabilities(joint_amplitudes: dict) -> dict:
@@ -211,10 +230,11 @@ def outcome_probabilities(joint_amplitudes: dict) -> dict:
 
     Double occupations carry the bosonic weight |A|^2 / 2 (the pairing
     sum double-counts the identical-mode term); the total over all
-    outcomes then normalizes to one.
+    outcomes then normalizes to one, per pair for array amplitudes.
     """
-    weights = {(i, j): abs(amp) ** 2 / (2.0 if i == j else 1.0)
-               for (i, j), amp in joint_amplitudes.items()}
+    squares = np.abs(np.array(list(joint_amplitudes.values()))) ** 2
+    weights = {(i, j): q / (2.0 if i == j else 1.0)
+               for (i, j), q in zip(joint_amplitudes, squares)}
     total = sum(weights.values())
     return {pair: q / total for pair, q in weights.items()}
 

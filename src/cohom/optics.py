@@ -7,16 +7,23 @@ and every element transform below is unitary on the four-mode amplitude
 vector.  Detection intensity is a different quantity from the norm: the
 two path components of one polarization stay mutually coherent and
 interfere, while orthogonal polarizations never do.
+
+Every element takes scalars or equal-shape numpy arrays, one sample per
+array entry, through one code path: the amplitudes are broadcast to a
+common sample shape and stacked modes first, and all arithmetic runs on
+those stacks.  A scalar call thus runs the same numpy loops as an array
+call (numpy's scalar arithmetic can round differently in the last bit),
+so one call on N samples gives exactly the results of N scalar calls.
 """
 
 from __future__ import annotations
 
-import cmath
 import enum
-import math
 from dataclasses import dataclass
 
-_SQRT2 = math.sqrt(2.0)
+import numpy as np
+
+_SQRT2 = float(np.sqrt(2.0))
 
 
 class Polarization(enum.Enum):
@@ -35,15 +42,30 @@ class PathAssignmentError(ValueError):
     """Raised when a field already split across both arms is fed to a splitter stage."""
 
 
+def _value(x):
+    """A float for a scalar result, the array otherwise."""
+    return x if np.ndim(x) else float(x)
+
+
+def _split(fields, *params):
+    """Each field's amplitudes as one complex array, modes first, then each
+    parameter, all broadcast to one sample shape."""
+    values = np.broadcast_arrays(*(a for f in fields for a in f.amps), *params)
+    n = 4 * len(fields)
+    modes = np.array(values[:n], dtype=complex)
+    return (*modes.reshape(len(fields), 4, *modes.shape[1:]), *values[n:])
+
+
 @dataclass(frozen=True)
 class PhotonField:
     """Immutable four-mode amplitude vector.
 
     Attributes:
-        amps: amplitudes ordered H^U, H^D, V^U, V^D.
+        amps: amplitudes ordered H^U, H^D, V^U, V^D; complex scalars, or
+            arrays of one shape holding one sample per entry.
     """
 
-    amps: tuple[complex, complex, complex, complex]
+    amps: tuple
 
     # -- constructors ------------------------------------------------------
 
@@ -52,31 +74,37 @@ class PhotonField:
         return PhotonField((0j, 0j, 0j, 0j))
 
     @staticmethod
-    def from_jones(h: complex, v: complex) -> "PhotonField":
+    def from_jones(h, v) -> "PhotonField":
         """Source photon before any path assignment.
 
         The amplitudes are parked on the U labels of the input rail; a field
         built this way is single-rail and acceptable to nmzi_transfer.
         """
-        return PhotonField((complex(h), 0j, complex(v), 0j))
+        return PhotonField(tuple(np.array(np.broadcast_arrays(h, 0j, v, 0j),
+                                          dtype=complex)))
 
-    # -- derived scalars ---------------------------------------------------
+    # -- derived values ----------------------------------------------------
 
-    def total_norm(self) -> float:
-        """Sum of |amplitude|^2 over the four modes; conserved by every element."""
-        return float(sum(abs(a) ** 2 for a in self.amps))
+    def total_norm(self):
+        """Sum of |amplitude|^2 over the four modes; conserved by every element.
+
+        A float for scalar amplitudes, an array of the sample shape otherwise.
+        """
+        (modes,) = _split([self])
+        hu, hd, vu, vd = np.abs(modes) ** 2
+        return _value(hu + hd + vu + vd)
 
 
-def intensity(field: PhotonField) -> float:
+def intensity(field: PhotonField):
     """Detection intensity at a port.
 
     Same-polarization components from different arms add coherently (their
     cross term is the interference fringe); orthogonal polarizations add in
     intensity only, so the two sums below never mix.
     """
-    h = field.amps[0] + field.amps[1]
-    v = field.amps[2] + field.amps[3]
-    return abs(h) ** 2 + abs(v) ** 2
+    (modes,) = _split([field])
+    h, v = np.abs(modes[0::2] + modes[1::2]) ** 2
+    return _value(h + v)
 
 
 # ---------------------------------------------------------------------------
@@ -84,18 +112,17 @@ def intensity(field: PhotonField) -> float:
 # ---------------------------------------------------------------------------
 
 
-def hwp_transform(field: PhotonField, theta: float) -> PhotonField:
+def hwp_transform(field: PhotonField, theta) -> PhotonField:
     """Half-wave plate at angle theta, applied per path tag.
 
     Jones matrix [[cos 2t, sin 2t], [sin 2t, -cos 2t]]; a reflection, so the
     transform is its own inverse at any angle.
     """
-    c = math.cos(2.0 * theta)
-    s = math.sin(2.0 * theta)
-    hu, hd, vu, vd = field.amps
-    return PhotonField(
-        (c * hu + s * vu, c * hd + s * vd, s * hu - c * vu, s * hd - c * vd)
-    )
+    modes, theta = _split([field], theta)
+    c = np.cos(2.0 * theta)
+    s = np.sin(2.0 * theta)
+    h, v = modes[:2], modes[2:]
+    return PhotonField((*(c * h + s * v), *(s * h - c * v)))
 
 
 def bs_transform(in_a: PhotonField, in_b: PhotonField) -> tuple[PhotonField, PhotonField]:
@@ -104,9 +131,9 @@ def bs_transform(in_a: PhotonField, in_b: PhotonField) -> tuple[PhotonField, Pho
     out_1 = (i*a + b)/sqrt(2), out_2 = (a + i*b)/sqrt(2), componentwise per
     mode label.  Tags are untouched; relabeling an arm is the caller's job.
     """
-    out1 = tuple((1j * a + b) / _SQRT2 for a, b in zip(in_a.amps, in_b.amps))
-    out2 = tuple((a + 1j * b) / _SQRT2 for a, b in zip(in_a.amps, in_b.amps))
-    return PhotonField(out1), PhotonField(out2)
+    a, b = _split([in_a, in_b])
+    return (PhotonField(tuple((1j * a + b) / _SQRT2)),
+            PhotonField(tuple((a + 1j * b) / _SQRT2)))
 
 
 def pbs_route(in_a: PhotonField, in_b: PhotonField) -> tuple[PhotonField, PhotonField]:
@@ -115,49 +142,50 @@ def pbs_route(in_a: PhotonField, in_b: PhotonField) -> tuple[PhotonField, Photon
     Port 1 collects H of input a and (i times) V of input b; port 2 collects
     (i times) V of input a and H of input b.
     """
-    a_hu, a_hd, a_vu, a_vd = in_a.amps
-    b_hu, b_hd, b_vu, b_vd = in_b.amps
-    port1 = PhotonField((a_hu, a_hd, 1j * b_vu, 1j * b_vd))
-    port2 = PhotonField((b_hu, b_hd, 1j * a_vu, 1j * a_vd))
-    return port1, port2
+    a, b = _split([in_a, in_b])
+    return (PhotonField((*a[:2], *(1j * b[2:]))),
+            PhotonField((*b[:2], *(1j * a[2:]))))
 
 
-def detune_phase(field: PhotonField, delta_f: float, tau: float) -> PhotonField:
+def detune_phase(field: PhotonField, delta_f, tau) -> PhotonField:
     """Advance the frequency-offset phase of every component by one stage.
 
     Each component picks up e^{i * sign(path) * delta_f * tau}; delta_f is an
     angular frequency (rad/s) and tau the stage delay in seconds.
     """
-    up = cmath.exp(1j * delta_f * tau)
-    down = cmath.exp(-1j * delta_f * tau)
-    hu, hd, vu, vd = field.amps
-    return PhotonField((hu * up, hd * down, vu * up, vd * down))
+    modes, delta_f, tau = _split([field], delta_f, tau)
+    up = np.exp(1j * delta_f * tau)
+    down = np.exp(-1j * delta_f * tau)
+    return PhotonField(tuple(modes * np.array([up, down, up, down])))
 
 
-def _rail_sums(field: PhotonField, message: str) -> tuple[complex, complex]:
+def _rail_sums(modes: np.ndarray, message: str) -> np.ndarray:
     """H and V amplitudes of a single-rail field, summed over its one arm.
 
     An amplitude counts as present when it is ``!= 0``, so a NaN does.
 
     Raises:
-        PathAssignmentError: with ``message`` if both arms carry amplitude.
+        PathAssignmentError: with ``message`` if any sample carries
+            amplitude on both arms.
     """
-    hu, hd, vu, vd = field.amps
-    if (hu != 0 or vu != 0) and (hd != 0 or vd != 0):
+    up = (modes[0] != 0) | (modes[2] != 0)
+    down = (modes[1] != 0) | (modes[3] != 0)
+    if np.any(up & down):
         raise PathAssignmentError(message)
-    return hu + hd, vu + vd
+    return modes[0::2] + modes[1::2]
 
 
 def with_path(field: PhotonField, tag: PathTag) -> PhotonField:
     """Relabel a single-rail field onto one arm, preserving polarization."""
-    h, v = _rail_sums(field, "field already spans both arms; cannot retag")
-    if tag is PathTag.U:
-        return PhotonField((h, 0j, v, 0j))
-    return PhotonField((0j, h, 0j, v))
+    (modes,) = _split([field])
+    rails = _rail_sums(modes, "field already spans both arms; cannot retag")
+    out = np.zeros_like(modes)
+    out[(0 if tag is PathTag.U else 1)::2] = rails
+    return PhotonField(tuple(out))
 
 
 def nmzi_transfer(
-    field: PhotonField, delta_f: float, tau1: float
+    field: PhotonField, delta_f, tau1
 ) -> tuple[PhotonField, PhotonField]:
     """Noninterfering Mach-Zehnder stage: splitter, counter-scanned offsets, combiner.
 
@@ -177,14 +205,18 @@ def nmzi_transfer(
     Raises:
         PathAssignmentError: if the input already carries both path tags.
     """
-    h, v = _rail_sums(field, "nmzi_transfer input must be a single-rail "
-                             "photon without path tags")
-    u1 = cmath.exp(1j * delta_f * tau1)
-    d1 = cmath.exp(-1j * delta_f * tau1)
+    modes, delta_f, tau1 = _split([field], delta_f, tau1)
+    rails = _rail_sums(modes, "nmzi_transfer input must be a single-rail "
+                              "photon without path tags")
+    u1 = np.exp(1j * delta_f * tau1)
+    d1 = np.exp(-1j * delta_f * tau1)
     # up arm gets i/sqrt2, down arm 1/sqrt2; the combiner reflects V with i.
-    port_a = PhotonField((0j, h * d1 / _SQRT2, -v * u1 / _SQRT2, 0j))
-    port_b = PhotonField((1j * h * u1 / _SQRT2, 0j, 0j, 1j * v * d1 / _SQRT2))
-    return port_a, port_b
+    h_down, v_up = rails * np.array([d1, u1]) / _SQRT2
+    h_up, v_down = 1j * rails * np.array([u1, d1]) / _SQRT2
+    port_a, port_b = np.zeros((2, *modes.shape), dtype=complex)
+    port_a[1], port_a[2] = h_down, -v_up
+    port_b[0], port_b[3] = h_up, v_down
+    return PhotonField(tuple(port_a)), PhotonField(tuple(port_b))
 
 
 # ---------------------------------------------------------------------------
@@ -192,9 +224,7 @@ def nmzi_transfer(
 # ---------------------------------------------------------------------------
 
 
-def bench_detector_fields(
-    delta_f: float, tau1: float, tau2: float
-) -> dict[int, PhotonField]:
+def bench_detector_fields(delta_f, tau1, tau2) -> dict[int, PhotonField]:
     """Propagate a unit H photon through the bench; fields at detectors 1..4.
 
     Runs the element pipeline (pi/8 wave plate, first stage, polarizing
@@ -202,7 +232,7 @@ def bench_detector_fields(
     labels of the returned fields still carry the arm tags, so per-arm
     coefficients can be read off directly.
     """
-    photon = hwp_transform(PhotonField.from_jones(1.0, 0.0), math.pi / 8)
+    photon = hwp_transform(PhotonField.from_jones(1.0, 0.0), np.pi / 8)
     port_a, port_b = nmzi_transfer(photon, delta_f, tau1)
     rail_a1, rail_a2 = pbs_route(port_a, PhotonField.vacuum())
     rail_b3, rail_b4 = pbs_route(port_b, PhotonField.vacuum())
@@ -216,7 +246,7 @@ def bench_detector_fields(
 
 
 def detector_path_coefficients(
-    delta_f: float, tau1: float, tau2: float
+    delta_f, tau1, tau2
 ) -> dict[int, dict[PathTag, complex]]:
     """Per-arm single-photon amplitude at each detector.
 

@@ -329,6 +329,26 @@ class TestOutcomeTable:
         for pair in ANTICORRELATED:
             assert cross[pair] == 0.0
 
+    def test_pinned_bit_for_bit(self):
+        # amplitude counts are drawn from these exact floats, rounding
+        # residue included, so a change of math library or of the element
+        # arithmetic must not move a single bit unnoticed
+        pinned = {
+            True: ("0x1.0000000000002p-3", "0x0.0p+0", "0x0.0p+0",
+                   "0x1.0000000000000p-2", "0x1.ffffffffffffcp-4",
+                   "0x1.0000000000000p-2", "0x0.0p+0",
+                   "0x1.0000000000002p-3", "0x0.0p+0",
+                   "0x1.ffffffffffffcp-4"),
+            False: ("0x1.0000000000002p-4", "0x1.0000000000000p-3",
+                    "0x1.0000000000002p-3", "0x1.0000000000000p-3",
+                    "0x1.ffffffffffffcp-5", "0x1.0000000000000p-3",
+                    "0x1.ffffffffffffcp-4", "0x1.0000000000002p-4",
+                    "0x1.0000000000000p-3", "0x1.ffffffffffffcp-5"),
+        }
+        for cross_path, entries in pinned.items():
+            table = outcome_probability_table(cross_path)
+            assert tuple(float(p).hex() for p in table) == entries
+
     def test_built_once_per_process(self):
         for cross_path in (True, False):
             assert (outcome_probability_table(cross_path)

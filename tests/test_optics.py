@@ -5,7 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cohom.montecarlo import PairSector, outcome_probabilities, pair_amplitudes
 from cohom.optics import (
     PathAssignmentError,
     PathTag,
@@ -294,3 +297,96 @@ def test_with_path_rejects_split_field():
     split = PhotonField((0.5, 0.5, 0j, 0j))
     with pytest.raises(PathAssignmentError):
         with_path(split, PathTag.U)
+
+
+#: one sample's inputs: two four-mode fields as (re, re, re, re, im, im,
+#: im, im), a Jones pair (re h, re v, im h, im v) and the element angles
+SAMPLE = st.fixed_dictionaries({
+    "a": st.tuples(*[st.floats(-4.0, 4.0)] * 8),
+    "b": st.tuples(*[st.floats(-4.0, 4.0)] * 8),
+    "jones": st.tuples(*[st.floats(-4.0, 4.0)] * 4),
+    "theta": st.floats(-7.0, 7.0),
+    "delta_f": st.floats(-1e8, 1e8),
+    "tau1": st.floats(0.0, 1e-5),
+    "tau2": st.floats(0.0, 1e-5),
+    "phase": st.floats(0.0, 7.0),
+})
+
+
+def _inputs(values):
+    """Call arguments from one sample's numbers, or from arrays of them."""
+    def field(parts):
+        return PhotonField(tuple(parts[k] + 1j * parts[k + 4]
+                                 for k in range(4)))
+
+    h_re, v_re, h_im, v_im = values["jones"]
+    return dict(values, a=field(values["a"]), b=field(values["b"]),
+                source=PhotonField.from_jones(h_re + 1j * h_im,
+                                              v_re + 1j * v_im))
+
+
+#: every array-capable optics call, and the amplitude pipeline after it
+CALLS = {
+    "hwp_transform": lambda x: hwp_transform(x["a"], x["theta"]),
+    "bs_transform": lambda x: bs_transform(x["a"], x["b"]),
+    "pbs_route": lambda x: pbs_route(x["a"], x["b"]),
+    "detune_phase": lambda x: detune_phase(x["a"], x["delta_f"], x["tau1"]),
+    "nmzi_transfer": lambda x: nmzi_transfer(x["source"], x["delta_f"],
+                                             x["tau1"]),
+    "with_path": lambda x: [with_path(x["source"], tag) for tag in PathTag],
+    "intensity": lambda x: intensity(x["a"]),
+    "total_norm": lambda x: x["a"].total_norm(),
+    "from_jones": lambda x: x["source"],
+    "bench_detector_fields": lambda x: bench_detector_fields(
+        x["delta_f"], x["tau1"], x["tau2"]),
+    "outcome_probabilities": lambda x: [
+        outcome_probabilities(pair_amplitudes(
+            x["delta_f"], x["tau1"], x["tau2"], x["phase"], sector))
+        for sector in PairSector],
+}
+
+
+def _numbers(result) -> list:
+    """The numbers of a call's result, in a fixed order."""
+    if isinstance(result, PhotonField):
+        return list(result.amps)
+    if isinstance(result, dict):
+        result = list(result.values())
+    if isinstance(result, (tuple, list)):
+        return [x for item in result for x in _numbers(item)]
+    return [result]
+
+
+@settings(max_examples=60, deadline=None)
+@given(samples=st.lists(SAMPLE, min_size=1, max_size=6))
+def test_one_array_call_equals_scalar_calls(samples):
+    columns = {key: (np.array([s[key] for s in samples]).T
+                     if isinstance(samples[0][key], tuple)
+                     else np.array([s[key] for s in samples]))
+               for key in samples[0]}
+    for name, call in CALLS.items():
+        batch = _numbers(call(_inputs(columns)))
+        for n, sample in enumerate(samples):
+            single = _numbers(call(_inputs(sample)))
+            assert len(single) == len(batch), name
+            for got, want in zip(batch, single):
+                assert np.ndim(want) == 0, name
+                assert np.broadcast_to(got, (len(samples),))[n] == want, name
+
+
+@pytest.mark.parametrize("bad", [0, 2, 4])
+def test_one_split_sample_rejects_the_batch(bad):
+    # five single-rail samples, one of which (at ``bad``) spans both arms
+    h = np.linspace(0.2, 1.0, 5) + 0j
+    hd = np.where(np.arange(5) == bad, 0.5, 0.0) + 0j
+    split = PhotonField((h, hd, 0.3 * h, np.zeros(5, complex)))
+    with pytest.raises(PathAssignmentError, match="single-rail"):
+        nmzi_transfer(split, np.ones(5), np.ones(5))
+    for tag in PathTag:
+        with pytest.raises(PathAssignmentError, match="both arms"):
+            with_path(split, tag)
+    # the same batch without the split sample passes
+    good = PhotonField((h, np.zeros(5, complex), 0.3 * h,
+                        np.zeros(5, complex)))
+    assert np.shape(with_path(good, PathTag.D).amps[1]) == (5,)
+    nmzi_transfer(good, np.ones(5), np.ones(5))

@@ -1,17 +1,23 @@
 """Validation checks fail on a faulty bench or a NaN measurement, and the
 suite runs them under fixed names."""
 
+import json
 import math
 from dataclasses import replace
 
+import numpy as np
+
 import cohom.validation
-from cohom.montecarlo import click_pattern_table
+from cohom.analytic import local_intensity
+from cohom.cli import render_report
+from cohom.montecarlo import PairSector, click_pattern_table, pair_amplitudes
 from cohom.optics import bench_detector_fields
 from cohom.validation import (
     _worst,
     check_classical_marginals,
     check_element_unitarity,
     check_intensity_consistency,
+    check_outcome_table,
     check_stage_composition,
     run_validation,
 )
@@ -52,6 +58,40 @@ def test_swapped_ports_fail_intensity_consistency(monkeypatch):
 
     monkeypatch.setattr(cohom.validation, "bench_detector_fields", swapped)
     assert not check_intensity_consistency().passed
+
+
+def assert_fails_with_null(result):
+    """A failed check whose NaN measurement the JSON report writes as null."""
+    assert not result.passed
+    assert math.isnan(result.measured)
+    check, = json.loads(render_report([result], "json"))["checks"]
+    assert check["status"] == "fail" and check["measured"] is None
+
+
+def test_one_nan_grid_point_fails_intensity_consistency(monkeypatch):
+    def nan_at_one_point(port, delta_f, tau1, tau2):
+        closed = local_intensity(port, delta_f, tau1, tau2)
+        if port == 3:
+            closed.flat[437] = math.nan
+        return closed
+
+    assert check_intensity_consistency().passed
+    monkeypatch.setattr(cohom.validation, "local_intensity",
+                        nan_at_one_point)
+    assert_fails_with_null(check_intensity_consistency())
+
+
+def test_one_nan_draw_fails_outcome_table(monkeypatch):
+    def nan_in_one_draw(delta_f, tau1, tau2, global_phase, sector):
+        amps = pair_amplitudes(delta_f, tau1, tau2, global_phase, sector)
+        if sector is PairSector.DU:
+            amps[(2, 3)] = np.where(np.arange(amps[(2, 3)].size) == 11,
+                                    complex(math.nan, 0.0), amps[(2, 3)])
+        return amps
+
+    assert check_outcome_table().passed
+    monkeypatch.setattr(cohom.validation, "pair_amplitudes", nan_in_one_draw)
+    assert_fails_with_null(check_outcome_table())
 
 
 def test_wrong_detuning_width_fails_classical_marginals(monkeypatch):
