@@ -283,12 +283,23 @@ def _scan_echo(scan: ScanSpec) -> dict:
 
 
 def read_config(path) -> tuple:
-    """Load and parse a config file, annotating I/O errors with the path."""
+    """Load and parse a config file, annotating I/O errors with the path.
+
+    A file that is not UTF-8 is rejected at its first bad byte.
+    """
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        with open(path, "rb") as handle:
+            data = handle.read()
     except OSError as exc:
         raise BenchIOError(f"{path}: {exc}") from exc
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the valid text before the bad byte, then a stand-in for it,
+        # split into lines as parse_config splits them
+        lines = (data[:exc.start].decode("utf-8") + "?").splitlines()
+        raise ConfigParseError(f"not UTF-8: byte 0x{data[exc.start]:02x}",
+                               len(lines), len(lines[-1])) from None
     return parse_config(text)
 
 

@@ -4,7 +4,7 @@ Each simulated event is one doubly-bunched pair: two photons sharing a
 coherence slot, a common detuning draw ``delta_f`` (the up-tagged photon
 is shifted by +delta_f, the down-tagged one by -delta_f) and a common
 random optical phase.  The joint path assignment of the two photons at
-the first splitter (the *sector*) is uniform; conditioned on its path
+the first splitter (the *arm pair*) is uniform; conditioned on its path
 tag, each photon propagates to the detectors with the coefficients
 supplied by :mod:`cohom.optics`.
 
@@ -56,7 +56,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
-from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
@@ -86,6 +85,9 @@ CLICK_PATTERNS = tuple(
 #: numpy draws counts as int64, so no run may hold more pairs
 _MAX_PAIRS = 2**63 - 1
 
+#: each outcome's two detectors as indices into DETECTORS
+_I, _J = np.array(OUTCOMES).T - 1
+
 _SQRT2 = math.sqrt(2.0)
 _MODES = ("amplitude", "classical")
 
@@ -96,28 +98,6 @@ class ConfigError(ValueError):
     def __init__(self, field: str, message: str):
         super().__init__(f"{field}: {message}")
         self.field = field
-
-
-class PairSector(Enum):
-    """Joint path assignment of the two photons at the first splitter."""
-
-    UD = (PathTag.U, PathTag.D)
-    DU = (PathTag.D, PathTag.U)
-    UU = (PathTag.U, PathTag.U)
-    DD = (PathTag.D, PathTag.D)
-
-    @property
-    def path_1(self) -> PathTag:
-        return self.value[0]
-
-    @property
-    def path_2(self) -> PathTag:
-        return self.value[1]
-
-    @property
-    def is_cross_path(self) -> bool:
-        """True when the photons carry opposite detuning signs."""
-        return self.value[0] is not self.value[1]
 
 
 def _require(field: str, ok: bool, message: str) -> None:
@@ -203,57 +183,55 @@ def _complex_product(a, b) -> np.ndarray:
     return out
 
 
-def pair_amplitudes(delta_f, tau1, tau2, global_phase, sector) -> dict:
-    """Joint two-photon amplitude of each outcome for one pair in a sector.
+def pair_amplitudes(delta_f, tau1, tau2, global_phase, paths) -> np.ndarray:
+    """Joint two-photon amplitude of each outcome for one pair on given arms.
 
-    Each photon, conditioned on its path tag, reaches detector k with the
-    bench coefficient for that tag (renormalized by sqrt(2): one tag holds
-    half the single-photon norm).  The unordered outcome (Di, Dj) gets the
+    ``paths`` is the (photon 1, photon 2) pair of :class:`PathTag`s.  Each
+    photon, conditioned on its arm, reaches detector k with the bench
+    coefficient for that arm (renormalized by sqrt(2): one arm holds half
+    the single-photon norm).  The unordered outcome (Di, Dj) gets the
     exchange-symmetrized pairing sum; the shared global phase multiplies
     both photons and cancels in every probability.  The parameters are
-    scalars or equal-shape arrays, one pair per entry.
+    scalars or equal-shape arrays, one pair per entry; the result holds
+    the outcomes of :data:`OUTCOMES` on axis 0, then the sample shape.
     """
     coeffs = detector_path_coefficients(delta_f, tau1, tau2)
     common = np.exp(1j * global_phase)
-    # each photon's amplitudes over DETECTORS, stacked so that a scalar
-    # call runs the same numpy loops as an array call
-    psi_1, psi_2 = (_complex_product(
-        _SQRT2 * np.array([coeffs[k][path] for k in DETECTORS]), common)
-        for path in sector.value)
-    i, j = np.array(OUTCOMES).T - 1
-    return dict(zip(OUTCOMES, _complex_product(psi_1[i], psi_2[j])
-                    + _complex_product(psi_1[j], psi_2[i])))
+    psi_1, psi_2 = (_complex_product(_SQRT2 * coeffs[path], common)
+                    for path in paths)
+    return (_complex_product(psi_1[_I], psi_2[_J])
+            + _complex_product(psi_1[_J], psi_2[_I]))
 
 
-def outcome_probabilities(joint_amplitudes: dict) -> dict:
+def outcome_probabilities(joint_amplitudes: np.ndarray) -> np.ndarray:
     """Normalized probability of each unordered detector outcome.
 
-    Double occupations carry the bosonic weight |A|^2 / 2 (the pairing
-    sum double-counts the identical-mode term); the total over all
-    outcomes then normalizes to one, per pair for array amplitudes.
+    Takes and returns arrays over :data:`OUTCOMES` on axis 0.  Double
+    occupations carry the bosonic weight |A|^2 / 2 (the pairing sum
+    double-counts the identical-mode term); the total over all outcomes
+    then normalizes to one, per pair for array amplitudes.
     """
-    squares = np.abs(np.array(list(joint_amplitudes.values()))) ** 2
-    weights = {(i, j): q / (2.0 if i == j else 1.0)
-               for (i, j), q in zip(joint_amplitudes, squares)}
-    total = sum(weights.values())
-    return {pair: q / total for pair, q in weights.items()}
+    weights = np.abs(joint_amplitudes) ** 2
+    weights[_I == _J] /= 2.0
+    # Python's sum adds the outcomes one after another, so a scalar pair
+    # and each entry of an array of pairs normalize alike
+    return weights / sum(weights)
 
 
 @functools.cache
 def outcome_probability_table(cross_path: bool) -> np.ndarray:
     """Outcome probabilities over :data:`OUTCOMES` for one path class.
 
-    The class is the cross-path sectors (UD, DU) or the same-path ones
-    (UU, DD); the two sectors of a class give the same table.  The
+    The class is the cross-path arm pairs (UD, DU) or the same-path ones
+    (UU, DD); the two arm pairs of a class give the same table.  The
     detuning, the delays and the optical phase enter the pairing sums
     only as unit-modulus factors, so one evaluation of
     :func:`pair_amplitudes` at zero stands for every pair of the class.
     Each table is therefore built once per process; every caller gets
     the same read-only array.
     """
-    sector = PairSector.UD if cross_path else PairSector.UU
-    probs = outcome_probabilities(pair_amplitudes(0.0, 0.0, 0.0, 0.0, sector))
-    table = np.array([probs[o] for o in OUTCOMES])
+    paths = (PathTag.U, PathTag.D) if cross_path else (PathTag.U, PathTag.U)
+    table = outcome_probabilities(pair_amplitudes(0.0, 0.0, 0.0, 0.0, paths))
     # Suppressed outcomes cancel only to float precision (~1e-33 at a
     # general detuning); a per-event sampler drawing uniforms on the
     # 2**-53 grid could not reach them either, so they are exact zeros.

@@ -56,9 +56,12 @@ def _split(fields, *params):
     return (*modes.reshape(len(fields), 4, *modes.shape[1:]), *values[n:])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhotonField:
     """Immutable four-mode amplitude vector.
+
+    Fields compare and hash by identity: array amplitudes have no single
+    truth value for ``==``.
 
     Attributes:
         amps: amplitudes ordered H^U, H^D, V^U, V^D; complex scalars, or
@@ -247,19 +250,16 @@ def bench_detector_fields(delta_f, tau1, tau2) -> dict[int, PhotonField]:
 
 def detector_path_coefficients(
     delta_f, tau1, tau2
-) -> dict[int, dict[PathTag, complex]]:
-    """Per-arm single-photon amplitude at each detector.
+) -> dict[PathTag, np.ndarray]:
+    """Per-arm single-photon amplitudes at detectors 1..4.
 
-    For detector k the dict holds the amplitude a photon reaches k with via
-    the up arm and via the down arm; polarization is implied by the port
-    (detectors 1 and 3 see H, detectors 2 and 4 see V).
+    Each arm's array holds the amplitude a photon reaches each detector
+    with via that arm: detectors 1..4 on axis 0, then the sample shape.
+    Polarization is implied by the port: the H amplitude for detectors 1
+    and 3, the V amplitude for detectors 2 and 4.
     """
     fields = bench_detector_fields(delta_f, tau1, tau2)
-    out: dict[int, dict[PathTag, complex]] = {}
-    for det, fld in fields.items():
-        hu, hd, vu, vd = fld.amps
-        if det in (1, 3):
-            out[det] = {PathTag.U: hu, PathTag.D: hd}
-        else:
-            out[det] = {PathTag.U: vu, PathTag.D: vd}
-    return out
+    rows = [fields[k].amps[:2] if k in (1, 3) else fields[k].amps[2:]
+            for k in (1, 2, 3, 4)]
+    up, down = np.swapaxes(rows, 0, 1)
+    return {PathTag.U: up, PathTag.D: down}

@@ -10,7 +10,7 @@ set, through the array forms of the optics elements and the analytic
 closed forms: ``intensity-consistency`` on a 10x10x10 grid of detuning
 and delays, ``element-unitarity`` on 1000 random inputs per element,
 ``stage-composition`` on 100 random source photons, ``outcome-table`` on
-25 random draws per sector, ``ensemble-quadrature`` on 31 detuning
+25 random draws per arm pair, ``ensemble-quadrature`` on 31 detuning
 spreads against a 96-node Gauss-Hermite rule, and ``classical-marginals``
 on a 45-point grid of click-pattern tables.  A NaN in any sample makes
 its check's ``measured`` NaN, so the check fails.
@@ -38,8 +38,6 @@ from .analytic import (
 )
 from .montecarlo import (
     CLICK_PATTERNS,
-    OUTCOMES,
-    PairSector,
     RunConfig,
     click_pattern_table,
     g2_estimate,
@@ -204,15 +202,15 @@ def check_amplitude_singles() -> CheckResult:
 def check_outcome_table() -> CheckResult:
     rng = np.random.default_rng(VALIDATION_SEED + 4)
     worst = 0.0
-    for sector in PairSector:
-        table = outcome_probability_table(sector.is_cross_path)
+    up, down = PathTag.U, PathTag.D
+    for paths in ((up, down), (down, up), (up, up), (down, down)):
+        table = outcome_probability_table(paths[0] is not paths[1])
         delta_f = sample_detuning(rng, 1.5e6, 25)
         tau1, tau2 = rng.uniform(0.0, 5e-6, (2, 25))
         phase = rng.uniform(0.0, 2.0 * math.pi, 25)
         probs = outcome_probabilities(pair_amplitudes(
-            delta_f, tau1, tau2, phase, sector))
-        worst = _worst(worst, _max_abs(
-            [probs[outcome] - p for p, outcome in zip(table, OUTCOMES)]))
+            delta_f, tau1, tau2, phase, paths))
+        worst = _worst(worst, _max_abs(probs - table[:, None]))
     return _result("outcome-table", worst, 1e-12,
                    "class outcome tables vs pair amplitudes at 25 random "
                    "detunings, delays and phases per sector")

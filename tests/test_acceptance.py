@@ -120,18 +120,17 @@ def test_classical_contrast_baseline(classical_run, report):
 
 
 def test_local_intensities_consistent(amplitude_run, classical_run, report):
+    d, t1, t2 = np.meshgrid(np.linspace(-3e6, 3e6, 10),
+                            np.linspace(0.0, 3e-6, 10),
+                            np.linspace(0.0, 3e-6, 10), indexing="ij")
+    ports = bench_detector_fields(d, t1, t2)
     worst_rel = 0.0
-    for d in np.linspace(-3e6, 3e6, 10):
-        for t1 in np.linspace(0.0, 3e-6, 10):
-            for t2 in np.linspace(0.0, 3e-6, 10):
-                ports = bench_detector_fields(d, t1, t2)
-                for k in (1, 2, 3, 4):
-                    closed = local_intensity(k, d, t1, t2)
-                    # the single-photon pipeline carries half of I0 = 1
-                    field = 2.0 * intensity(ports[k])
-                    worst_rel = max(
-                        worst_rel,
-                        abs(closed - field) / max(abs(closed), 1e-3))
+    for k in (1, 2, 3, 4):
+        closed = local_intensity(k, d, t1, t2)
+        # the single-photon pipeline carries half of I0 = 1
+        field = 2.0 * intensity(ports[k])
+        worst_rel = max(worst_rel, float(np.max(
+            np.abs(closed - field) / np.maximum(np.abs(closed), 1e-3))))
 
     d, t1, t2 = np.meshgrid(np.linspace(-5e6, 5e6, 25),
                             np.linspace(0.0, 5e-6, 25),
@@ -241,52 +240,57 @@ def test_combination_tables(report):
 def test_element_algebra(report):
     rng = np.random.default_rng(777)
 
+    # the samples are drawn one at a time, in the order of a per-sample
+    # loop, and then pass through each element in one array call
     def random_field():
         re, im = rng.standard_normal(4), rng.standard_normal(4)
-        return PhotonField(tuple(complex(a, b) for a, b in zip(re, im)))
+        return re + 1j * im
 
-    worst_norm = 0.0
-    for _ in range(1000):
-        a, b = random_field(), random_field()
-        total = a.total_norm() + b.total_norm()
-        o1, o2 = bs_transform(a, b)
-        worst_norm = max(worst_norm, abs(
-            (o1.total_norm() + o2.total_norm()) / total - 1.0))
-        p1, p2 = pbs_route(a, b)
-        worst_norm = max(worst_norm, abs(
-            (p1.total_norm() + p2.total_norm()) / total - 1.0))
-        worst_norm = max(worst_norm, abs(
-            hwp_transform(a, rng.uniform(0, math.pi)).total_norm()
-            / a.total_norm() - 1.0))
-        worst_norm = max(worst_norm, abs(
-            detune_phase(a, rng.uniform(-1e7, 1e7),
-                         rng.uniform(0, 1e-5)).total_norm()
-            / a.total_norm() - 1.0))
+    draws = [(random_field(), random_field(), rng.uniform(0, math.pi),
+              rng.uniform(-1e7, 1e7), rng.uniform(0, 1e-5))
+             for _ in range(1000)]
+    a_modes, b_modes, theta, delta_f, tau = (np.array(x) for x in zip(*draws))
+    a, b = PhotonField(tuple(a_modes.T)), PhotonField(tuple(b_modes.T))
+    norm_a = a.total_norm()
+    total = norm_a + b.total_norm()
+    o1, o2 = bs_transform(a, b)
+    p1, p2 = pbs_route(a, b)
+    worst_norm = float(np.max(np.abs([
+        (o1.total_norm() + o2.total_norm()) / total - 1.0,
+        (p1.total_norm() + p2.total_norm()) / total - 1.0,
+        hwp_transform(a, theta).total_norm() / norm_a - 1.0,
+        detune_phase(a, delta_f, tau).total_norm() / norm_a - 1.0])))
 
     balanced = hwp_transform(PhotonField.from_jones(1.0, 0.0), math.pi / 8)
     target = 1.0 / math.sqrt(2.0)
     worst_hwp = max(abs(balanced.amps[0] - target),
                     abs(balanced.amps[2] - target))
 
-    worst_stage = 0.0
-    for _ in range(100):
+    def random_source():
         h, v = complex(*rng.standard_normal(2)), complex(*rng.standard_normal(2))
         scale = math.sqrt(abs(h) ** 2 + abs(v) ** 2)
-        source = PhotonField.from_jones(h / scale, v / scale)
-        delta_f, tau1 = rng.uniform(-5e6, 5e6), rng.uniform(0.0, 5e-6)
-        port_a, port_b = nmzi_transfer(source, delta_f, tau1)
-        up, down = bs_transform(source, PhotonField.vacuum())
-        up = detune_phase(with_path(up, PathTag.U), delta_f, tau1)
-        down = detune_phase(with_path(down, PathTag.D), delta_f, tau1)
-        composed_a, composed_b = pbs_route(down, up)
+        return (h / scale, v / scale, rng.uniform(-5e6, 5e6),
+                rng.uniform(0.0, 5e-6))
+
+    h, v, delta_f, tau1 = (np.array(x) for x in zip(
+        *(random_source() for _ in range(100))))
+    source = PhotonField.from_jones(h, v)
+    port_a, port_b = nmzi_transfer(source, delta_f, tau1)
+    up, down = bs_transform(source, PhotonField.vacuum())
+    up = detune_phase(with_path(up, PathTag.U), delta_f, tau1)
+    down = detune_phase(with_path(down, PathTag.D), delta_f, tau1)
+    composed_a, composed_b = pbs_route(down, up)
+    worst_stage = 0.0
+    for n in range(100):
         for direct, composed in ((port_a, composed_a), (port_b, composed_b)):
-            ref = max(range(4), key=lambda i: abs(composed.amps[i]))
-            if abs(composed.amps[ref]) < 1e-12:
+            direct = [amp[n] for amp in direct.amps]
+            composed = [amp[n] for amp in composed.amps]
+            ref = max(range(4), key=lambda i: abs(composed[i]))
+            if abs(composed[ref]) < 1e-12:
                 continue
-            phase = direct.amps[ref] / composed.amps[ref]
+            phase = direct[ref] / composed[ref]
             worst_stage = max(worst_stage, max(
-                abs(direct.amps[i] - phase * composed.amps[i])
-                for i in range(4)))
+                abs(direct[i] - phase * composed[i]) for i in range(4)))
 
     ok = worst_norm <= 1e-12 and worst_hwp <= 1e-12 and worst_stage <= 1e-12
     report(

@@ -44,6 +44,14 @@ seed = 7
 """
 
 
+def _package_env() -> dict:
+    """The environment with this checkout's package first on PYTHONPATH,
+    for running the CLI as a child process."""
+    src = str(Path(cohom.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 @pytest.fixture
 def point_cfg(tmp_path):
     path = tmp_path / "point.cfg"
@@ -259,6 +267,19 @@ class TestErrors:
         assert "line 6, column 20: scan steps must be <= 1000000" in err
         assert "Traceback" not in err
 
+    def test_non_utf8_config_positioned(self, tmp_path):
+        # run as a script, so that a traceback would reach stderr
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"[bench]\nsigma_f_hz = 2.5e5\xff\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "cohom.cli", "simulate", "--config",
+             str(path), "--quiet"],
+            env=_package_env(), capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            "error: line 2, column 19: not UTF-8: byte 0xff\n")
+        assert "Traceback" not in proc.stderr
+
     def test_usage_error_exit_2(self):
         with pytest.raises(SystemExit) as err:
             main(["enumerate", "--format", "xml"])
@@ -378,12 +399,9 @@ class TestValidate:
 
 def test_import_skips_modules_only_some_commands_run():
     # validate imports its suite, and a threaded scan its pool, on demand
-    src = str(Path(cohom.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import sys, cohom.cli; print(sorted(m for m in "
             "('cohom.validation', 'concurrent.futures') if m in sys.modules))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    proc = subprocess.run([sys.executable, "-c", code], env=_package_env(),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"

@@ -30,7 +30,6 @@ from cohom.montecarlo import (
     ConfigError,
     CountsAccumulator,
     G2Estimate,
-    PairSector,
     RunConfig,
     _inject_accidentals,
     _window_acceptance,
@@ -44,6 +43,7 @@ from cohom.montecarlo import (
     scan_tau21,
     simulate_run,
 )
+from cohom.optics import PathTag
 
 # The HOM pairs cancel bitwise-exactly (their two pairing terms are exact
 # i-rotations of each other through one splitter); the cross-polarization
@@ -53,6 +53,17 @@ HOM_PAIRS = ((1, 3), (2, 4))
 CROSS_POL_PAIRS = ((1, 2), (3, 4))
 ANTICORRELATED = HOM_PAIRS + CROSS_POL_PAIRS
 CORRELATED = ((1, 4), (2, 3))
+
+# the (photon 1, photon 2) arm pairs: cross-path UD and DU, same-path UU, DD
+UD = (PathTag.U, PathTag.D)
+DU = (PathTag.D, PathTag.U)
+UU = (PathTag.U, PathTag.U)
+ARM_PAIRS = (UD, DU, UU, (PathTag.D, PathTag.D))
+
+
+def at(pair) -> int:
+    """Index of an outcome on axis 0 of the amplitude and probability arrays."""
+    return OUTCOMES.index(pair)
 
 
 def base_config(**overrides) -> RunConfig:
@@ -236,19 +247,19 @@ class TestPairAmplitudes:
             df = rng.uniform(-8e6, 8e6)
             t1, t2 = rng.uniform(0, 4e-6, size=2)
             phi = rng.uniform(0, 2 * math.pi)
-            for sector in (PairSector.UD, PairSector.DU):
-                amps = pair_amplitudes(df, t1, t2, phi, sector)
+            for paths in (UD, DU):
+                amps = pair_amplitudes(df, t1, t2, phi, paths)
                 for pair in HOM_PAIRS:
-                    assert amps[pair] == 0j
+                    assert amps[at(pair)] == 0j
                 for pair in CROSS_POL_PAIRS:
-                    assert abs(amps[pair]) < 1e-15
+                    assert abs(amps[at(pair)]) < 1e-15
                 for pair in CORRELATED:
-                    assert abs(amps[pair]) > 0.4
+                    assert abs(amps[at(pair)]) > 0.4
 
     def test_bunching_amplitude_nonzero(self):
-        amps = pair_amplitudes(1e6, 1e-6, 2e-6, 0.3, PairSector.UD)
+        amps = pair_amplitudes(1e6, 1e-6, 2e-6, 0.3, UD)
         for k in DETECTORS:
-            assert abs(amps[(k, k)]) == pytest.approx(0.5, abs=1e-12)
+            assert abs(amps[at((k, k))]) == pytest.approx(0.5, abs=1e-12)
 
     def test_exchange_symmetry_is_exact(self):
         rng = np.random.default_rng(4)
@@ -256,21 +267,21 @@ class TestPairAmplitudes:
             df = rng.uniform(-8e6, 8e6)
             t1, t2 = rng.uniform(0, 4e-6, size=2)
             phi = rng.uniform(0, 2 * math.pi)
-            ud = pair_amplitudes(df, t1, t2, phi, PairSector.UD)
-            du = pair_amplitudes(df, t1, t2, phi, PairSector.DU)
-            assert ud == du
+            ud = pair_amplitudes(df, t1, t2, phi, UD)
+            du = pair_amplitudes(df, t1, t2, phi, DU)
+            assert np.array_equal(ud, du)
 
     def test_global_phase_cancels_in_probabilities(self):
         reference = None
         for phi in (0.0, math.pi / 3.0, 1.7):
             probs = outcome_probabilities(pair_amplitudes(
-                2e6, 0.7e-6, 1.1e-6, phi, PairSector.UD))
+                2e6, 0.7e-6, 1.1e-6, phi, UD))
             if reference is None:
                 reference = probs
             else:
                 for pair in OUTCOMES:
-                    assert probs[pair] == pytest.approx(
-                        reference[pair], abs=1e-14)
+                    assert probs[at(pair)] == pytest.approx(
+                        reference[at(pair)], abs=1e-14)
 
     def test_probabilities_normalized(self):
         rng = np.random.default_rng(5)
@@ -278,47 +289,47 @@ class TestPairAmplitudes:
             df = rng.uniform(-8e6, 8e6)
             t1, t2 = rng.uniform(0, 4e-6, size=2)
             phi = rng.uniform(0, 2 * math.pi)
-            for sector in PairSector:
+            for paths in ARM_PAIRS:
                 probs = outcome_probabilities(pair_amplitudes(
-                    df, t1, t2, phi, sector))
-                assert abs(sum(probs.values()) - 1.0) < 1e-12
+                    df, t1, t2, phi, paths))
+                assert abs(sum(probs) - 1.0) < 1e-12
 
     def test_cross_sector_closed_form_values(self):
         probs = outcome_probabilities(pair_amplitudes(
-            3e6, 0.5e-6, 1.5e-6, 0.9, PairSector.UD))
+            3e6, 0.5e-6, 1.5e-6, 0.9, UD))
         for k in DETECTORS:
-            assert probs[(k, k)] == pytest.approx(0.125, abs=1e-12)
+            assert probs[at((k, k))] == pytest.approx(0.125, abs=1e-12)
         for pair in CORRELATED:
-            assert probs[pair] == pytest.approx(0.25, abs=1e-12)
+            assert probs[at(pair)] == pytest.approx(0.25, abs=1e-12)
         for pair in HOM_PAIRS:
-            assert probs[pair] == 0.0
+            assert probs[at(pair)] == 0.0
         for pair in CROSS_POL_PAIRS:
-            assert probs[pair] < 1e-30
+            assert probs[at(pair)] < 1e-30
 
     def test_same_sector_flat_table(self):
         probs = outcome_probabilities(pair_amplitudes(
-            3e6, 0.5e-6, 1.5e-6, 0.9, PairSector.UU))
+            3e6, 0.5e-6, 1.5e-6, 0.9, UU))
         for k in DETECTORS:
-            assert probs[(k, k)] == pytest.approx(1.0 / 16.0, abs=1e-12)
+            assert probs[at((k, k))] == pytest.approx(1.0 / 16.0, abs=1e-12)
         for pair in DETECTOR_PAIRS:
-            assert probs[pair] == pytest.approx(1.0 / 8.0, abs=1e-12)
+            assert probs[at(pair)] == pytest.approx(1.0 / 8.0, abs=1e-12)
 
 
 class TestOutcomeTable:
     def test_matches_scalar_event(self):
         # the oracle: one class table stands for every detuning, delay
-        # pair and phase of every sector in the class
+        # pair and phase of every arm pair in the class
         rng = np.random.default_rng(6)
-        for sector in PairSector:
-            table = outcome_probability_table(sector.is_cross_path)
+        for paths in ARM_PAIRS:
+            table = outcome_probability_table(paths[0] is not paths[1])
             for _ in range(20):
                 df = rng.uniform(-8e6, 8e6)
                 t1, t2 = rng.uniform(0, 4e-6, size=2)
                 phi = rng.uniform(0, 2 * math.pi)
                 scalar = outcome_probabilities(pair_amplitudes(
-                    df, t1, t2, phi, sector))
-                for col, pair in enumerate(OUTCOMES):
-                    assert abs(table[col] - scalar[pair]) < 1e-12
+                    df, t1, t2, phi, paths))
+                for col in range(len(OUTCOMES)):
+                    assert abs(table[col] - scalar[col]) < 1e-12
 
     def test_rows_sum_to_one(self):
         for cross_path in (True, False):
@@ -391,7 +402,7 @@ class TestSimulateAmplitude:
     def test_correlated_and_postselected_rates(self):
         n = 200_000
         counts = simulate_run(base_config(n_pairs=n))
-        # cross-path sectors occur half the time; within them the two
+        # cross-path arm pairs occur half the time; within them the two
         # correlated pairs take probability 1/4 each
         for pair in CORRELATED:
             expect = n / 8.0
@@ -414,7 +425,7 @@ class TestSimulateAmplitude:
     def test_filter_off_leaks_same_path_pairs(self):
         n = 200_000
         counts = simulate_run(base_config(n_pairs=n, heterodyne_filter=False))
-        # same-path sectors (probability 1/2) give each distinct pair 1/8
+        # same-path arm pairs (probability 1/2) give each distinct pair 1/8
         for pair in ANTICORRELATED:
             expect = n / 16.0
             spread = math.sqrt(n * (1.0 / 16.0))

@@ -1,6 +1,7 @@
 """Element-level checks: oracles are direct matrix products built in-test."""
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohom.montecarlo import PairSector, outcome_probabilities, pair_amplitudes
+from cohom.montecarlo import outcome_probabilities, pair_amplitudes
 from cohom.optics import (
     PathAssignmentError,
     PathTag,
@@ -283,14 +284,22 @@ class TestBench:
         base = detector_path_coefficients(0.0, tau1, tau2)
         expect_up = cmath.exp(1j * delta_f * (tau1 + tau2))
         for det in (1, 2, 3, 4):
-            up = coeff[det][PathTag.U]
-            down = coeff[det][PathTag.D]
+            up = coeff[PathTag.U][det - 1]
+            down = coeff[PathTag.D][det - 1]
             assert abs(abs(up) - 1 / (2 * SQRT2)) < 1e-12
             assert abs(abs(down) - 1 / (2 * SQRT2)) < 1e-12
             # relative to the zero-offset bench, up advances by e^{+i df T},
             # down by the conjugate, T = tau1 + tau2
-            assert abs(up / base[det][PathTag.U] - expect_up) < 1e-12
-            assert abs(down / base[det][PathTag.D] - 1 / expect_up) < 1e-12
+            assert abs(up / base[PathTag.U][det - 1] - expect_up) < 1e-12
+            assert abs(down / base[PathTag.D][det - 1] - 1 / expect_up) < 1e-12
+
+
+def test_array_fields_compare_and_hash_by_identity():
+    a = PhotonField.from_jones(np.ones(3), np.zeros(3))
+    b = PhotonField.from_jones(np.ones(3), np.zeros(3))
+    assert a == a and a != b
+    assert hash(a) == hash(a)
+    assert len({a, b}) == 2
 
 
 def test_with_path_rejects_split_field():
@@ -340,9 +349,9 @@ CALLS = {
     "bench_detector_fields": lambda x: bench_detector_fields(
         x["delta_f"], x["tau1"], x["tau2"]),
     "outcome_probabilities": lambda x: [
-        outcome_probabilities(pair_amplitudes(
-            x["delta_f"], x["tau1"], x["tau2"], x["phase"], sector))
-        for sector in PairSector],
+        list(outcome_probabilities(pair_amplitudes(
+            x["delta_f"], x["tau1"], x["tau2"], x["phase"], paths)))
+        for paths in itertools.product(PathTag, repeat=2)],
 }
 
 

@@ -5,13 +5,11 @@ import json
 import math
 from dataclasses import replace
 
-import numpy as np
-
 import cohom.validation
 from cohom.analytic import local_intensity
 from cohom.cli import render_report
-from cohom.montecarlo import PairSector, click_pattern_table, pair_amplitudes
-from cohom.optics import bench_detector_fields
+from cohom.montecarlo import OUTCOMES, click_pattern_table, pair_amplitudes
+from cohom.optics import PathTag, bench_detector_fields
 from cohom.validation import (
     _worst,
     check_classical_marginals,
@@ -82,11 +80,10 @@ def test_one_nan_grid_point_fails_intensity_consistency(monkeypatch):
 
 
 def test_one_nan_draw_fails_outcome_table(monkeypatch):
-    def nan_in_one_draw(delta_f, tau1, tau2, global_phase, sector):
-        amps = pair_amplitudes(delta_f, tau1, tau2, global_phase, sector)
-        if sector is PairSector.DU:
-            amps[(2, 3)] = np.where(np.arange(amps[(2, 3)].size) == 11,
-                                    complex(math.nan, 0.0), amps[(2, 3)])
+    def nan_in_one_draw(delta_f, tau1, tau2, global_phase, paths):
+        amps = pair_amplitudes(delta_f, tau1, tau2, global_phase, paths)
+        if paths == (PathTag.D, PathTag.U):
+            amps[OUTCOMES.index((2, 3)), 11] = complex(math.nan, 0.0)
         return amps
 
     assert check_outcome_table().passed
