@@ -77,10 +77,14 @@ def fringe_visibility(sigma_f, tau1, tau2):
 
 def _arm_phase(delta_f, tau1, tau2) -> np.ndarray:
     """Arm phase delta_f * (tau1 + tau2) as an array; inf where it
-    overflows a float."""
-    with np.errstate(over="ignore"):
-        return np.asarray(delta_f, dtype=float) * (
-            np.asarray(tau1, dtype=float) + np.asarray(tau2, dtype=float))
+    overflows a float, and 0.0 at zero detuning even where the delay sum
+    overflows."""
+    delta_f = np.asarray(delta_f, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = delta_f * (np.asarray(tau1, dtype=float)
+                           + np.asarray(tau2, dtype=float))
+    # 0 * inf is NaN, not the zero phase of a detuning-free pair
+    return np.where(np.isnan(phase) & (delta_f == 0.0), 0.0, phase)
 
 
 # ---------------------------------------------------------------------------
@@ -100,8 +104,10 @@ def _cross_port_rate(port_i: int, port_j: int, delta_f, tau1, tau2):
     # the rate does not depend on the phase, so a phase past the float
     # range (a washed-out fringe) may stand at zero
     phase = np.where(np.isfinite(phase), phase, 0.0)
-    u = np.exp(1j * phase)
-    d = np.exp(-1j * phase)
+    # one cosine and one sine give both unit-modulus arm factors
+    c, s = np.cos(phase), np.sin(phase)
+    u = c + 1j * s
+    d = c - 1j * s
     i_up, i_down = _PORT_COEFFS[port_i]
     j_up, j_down = _PORT_COEFFS[port_j]
     # both assignments carry the same arm product u d, so the coefficient

@@ -2,6 +2,7 @@
 
 Configs are a strict, flat INI subset: ``[section]`` headers and
 ``key = value`` lines, ``#``/``;`` comment lines, no inline comments.
+A line ends at ``\\n`` or ``\\r\\n`` and nowhere else.
 Every key is scalar and belongs to a closed schema; unknown sections or
 keys, duplicates, type errors and range violations are rejected with the
 line and column where they occur.  File quantities are SI (Hz, seconds);
@@ -21,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 import platform
+import re
 from dataclasses import MISSING, astuple, dataclass, fields as dataclass_fields
 from typing import Optional, get_type_hints
 
@@ -67,10 +69,27 @@ class _Token:
     column: int
 
 
+#: the characters besides "\n" that str.splitlines breaks lines at; a
+#: config line ends only at "\n" (one "\r" before it is dropped), so
+#: these are rejected where they stand
+_STRAY_BREAK = re.compile("[\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]")
+
+
+def _lines(text: str) -> list:
+    """The lines of a config: split at "\\n", one trailing "\\r" dropped."""
+    return [line[:-1] if line.endswith("\r") else line
+            for line in text.split("\n")]
+
+
 def _tokenize(text: str) -> dict:
     sections: dict = {}
     current = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_lines(text), start=1):
+        stray = _STRAY_BREAK.search(raw)
+        if stray:
+            raise ConfigParseError(
+                f"line break {stray.group()!r} inside a line; config lines "
+                "end at '\\n'", lineno, stray.start() + 1)
         stripped = raw.strip()
         if not stripped or stripped.startswith(("#", ";")):
             continue
@@ -297,7 +316,7 @@ def read_config(path) -> tuple:
     except UnicodeDecodeError as exc:
         # the valid text before the bad byte, then a stand-in for it,
         # split into lines as parse_config splits them
-        lines = (data[:exc.start].decode("utf-8") + "?").splitlines()
+        lines = _lines(data[:exc.start].decode("utf-8") + "?")
         raise ConfigParseError(f"not UTF-8: byte 0x{data[exc.start]:02x}",
                                len(lines), len(lines[-1])) from None
     return parse_config(text)

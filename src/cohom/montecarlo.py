@@ -82,6 +82,11 @@ CLICK_PATTERNS = tuple(
     tuple(k for k, fired in zip(DETECTORS, bits) if fired)
     for bits in itertools.product((False, True), repeat=len(DETECTORS)))
 
+#: whether each detector (columns, in DETECTORS order) fires in each
+#: click pattern (rows, in CLICK_PATTERNS order)
+_PATTERN_FIRES = np.array([[k in fired for k in DETECTORS]
+                           for fired in CLICK_PATTERNS])
+
 #: numpy draws counts as int64, so no run may hold more pairs
 _MAX_PAIRS = 2**63 - 1
 
@@ -252,6 +257,12 @@ _FRINGE_POWERS = np.array([
     [35, 56, 28, 8, 1],
 ]) / 128.0
 
+#: (v, u) coefficients of each detector's click probability at mu = 1;
+#: local_intensity at zero phase is 1 on the bright fringe and 0 on the
+#: dark one
+_CLICK_FORMS = np.array([[1.0 - bright, bright] for bright in (
+    local_intensity(k, 0.0, 0.0, 0.0) for k in DETECTORS)])
+
 
 def click_pattern_table(config) -> np.ndarray:
     """Probability of each classical click pattern over :data:`CLICK_PATTERNS`.
@@ -267,25 +278,24 @@ def click_pattern_table(config) -> np.ndarray:
     arithmetic (a dark port at theta = 0, a miss at mu = 1) is exactly
     0.0.
     """
-    cos_means = [1.0, *(fringe_visibility(m * config.sigma_f, config.tau1,
-                                          config.tau2)
-                        for m in (1, 2, 3, 4))]
+    cos_means = np.append(1.0, fringe_visibility(
+        np.arange(1.0, 5.0) * config.sigma_f, config.tau1, config.tau2))
     # cancellation can leave a vanishing moment a rounding error below 0
     moments = np.maximum(_FRINGE_POWERS @ cos_means, 0.0)
-    forms = []
-    for k in DETECTORS:
-        # coefficients of (v, u); local_intensity at zero phase is 1 on
-        # the bright fringe and 0 on the dark one
-        bright = local_intensity(k, 0.0, 0.0, 0.0)
-        click = config.mean_photon_number * np.array([1.0 - bright, bright])
-        forms.append((click, 1.0 - click))
-    table = []
-    for fired in CLICK_PATTERNS:
-        poly = np.ones(1)
-        for k, (click, miss) in zip(DETECTORS, forms):
-            poly = np.convolve(poly, click if k in fired else miss)
-        table.append(poly @ moments)
-    return np.array(table)
+    click = config.mean_photon_number * _CLICK_FORMS
+    # each pattern's form per detector: the click form if the pattern
+    # fires the detector, else the miss form
+    forms = np.where(_PATTERN_FIRES[:, :, None], click, 1.0 - click)
+    # one polynomial in (v, u) per pattern, all 16 multiplied by one
+    # detector's form at a time; each coefficient is at most a two-term
+    # sum, whose value does not depend on the order of its terms
+    poly = np.zeros((len(CLICK_PATTERNS), len(DETECTORS) + 1))
+    poly[:, 0] = 1.0
+    for k in range(len(DETECTORS)):
+        low, high = forms[:, k, :1], forms[:, k, 1:]
+        poly[:, 1:] = poly[:, 1:] * low + poly[:, :-1] * high
+        poly[:, :1] *= low
+    return np.array([row @ moments for row in poly])
 
 
 def detector_convolve(true_time, rng, pulse_sigma) -> np.ndarray:

@@ -230,10 +230,27 @@ class TestOverflowingPhase:
                 assert ensemble_intensity(k, sigma_f, tau, tau) == 0.5
             assert coincidence_r13(sigma_f, tau, tau) == 0.0
             assert coincidence_r24(sigma_f, tau, tau) == 0.0
-            # one overflowing entry leaves the rest of a grid alone
-            delays = np.array([tau, 1e-6])
-            r13 = coincidence_r13(sigma_f, delays, delays)
-            assert r13[0] == 0.0 and abs(r13[1]) < 1e-12
+            # one overflowing entry leaves the rest of a grid alone, and
+            # the arm factors from one cosine and one sine of the phase
+            # keep every entry exactly 0.0
+            delays = np.array([tau, 1e-6, 1e150])
+            for rate in (coincidence_r13, coincidence_r24):
+                assert not np.any(rate(sigma_f, delays, delays))
+
+    @pytest.mark.parametrize("delta_f", [0.0, -0.0])
+    def test_zero_detuning_with_overflowing_delay_sum(self, delta_f):
+        # tau1 + tau2 overflows to inf, yet a pair without detuning has
+        # zero phase: a full fringe, not 0 * inf = NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert fringe_visibility(delta_f, 1e308, 1e308) == 1.0
+            assert ensemble_intensity(1, delta_f, 1e308, 1e308) == 1.0
+            assert coincidence_r13(delta_f, 1e308, 1e308) == 0.0
+            assert coincidence_r24(delta_f, 1e308, 1e308) == 0.0
+            sigma_f = np.array([delta_f, 1.0, math.nan])
+            envelope = fringe_visibility(sigma_f, 1e308, 1e308)
+            assert envelope[0] == 1.0 and envelope[1] == 0.0
+            assert math.isnan(envelope[2])
 
     def test_analytic_command(self, tmp_path, capsys):
         config = tmp_path / "overflow.ini"

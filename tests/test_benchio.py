@@ -36,6 +36,9 @@ from cohom.montecarlo import (
     simulate_run,
 )
 
+#: the line breaks of str.splitlines other than "\n" and "\r\n"
+STRAY_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
 MINIMAL = """\
 [bench]
 sigma_f_hz = 1e6
@@ -152,6 +155,25 @@ class TestParseErrors:
         err = self.err(MINIMAL.replace("1e6", "fast"))
         assert "not a number" in str(err)
         assert err.line == 2 and err.column == 14
+
+    def test_crlf_lines_parse_as_lf_lines(self):
+        assert parse_config(FULL.replace("\n", "\r\n")) == parse_config(FULL)
+
+    @pytest.mark.parametrize("char", list(STRAY_BREAKS))
+    def test_stray_line_break_positioned(self, char):
+        err = self.err(MINIMAL.replace("1e6", "1e6" + char + "x"))
+        assert "line break" in str(err)
+        assert (err.line, err.column) == (2, 17)
+
+    def test_stray_line_break_does_not_start_a_key(self):
+        # before, str.splitlines read this one line as two keys
+        err = self.err("[bench]\nsigma_f_hz = 1e6\n"
+                       "tau1_s = 1e-6\x85tau2_s = 1e-6\n")
+        assert (err.line, err.column) == (3, 14)
+
+    def test_stray_line_break_in_a_comment(self):
+        err = self.err("# note\u2028[bench]\n" + MINIMAL)
+        assert (err.line, err.column) == (1, 7)
 
     def test_bad_int(self):
         err = self.err(MINIMAL + "[source]\nn_pairs = 2.5\n")
@@ -272,7 +294,11 @@ def config_documents(draw):
         lines.insert(draw(st.integers(0, len(lines))),
                      draw(st.text(st.characters(blacklist_characters="\r\n"),
                                   max_size=12)))
-    return "\n".join(lines) + "\n"
+    text = "\n".join(lines) + "\n"
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(STRAY_BREAKS)) + text[at:]
+    return text
 
 
 @st.composite
@@ -364,6 +390,22 @@ class TestRoundTrip:
         lines.insert(at, f"{name} = 1")
         with pytest.raises(ConfigParseError):
             parse_config("\n".join(lines))
+
+
+class TestStrayLineBreaks:
+    @given(setup=valid_setups(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_rejected_where_it_stands(self, setup, data):
+        text = render_config(*setup)
+        at = data.draw(st.integers(0, len(text)))
+        char = data.draw(st.sampled_from(STRAY_BREAKS))
+        # a "\r" that ends a line is the "\r" of a "\r\n" line end
+        assume(char != "\r" or text[at:at + 1] not in ("\n", ""))
+        with pytest.raises(ConfigParseError) as excinfo:
+            parse_config(text[:at] + char + text[at:])
+        line_start = text.rfind("\n", 0, at) + 1
+        assert (excinfo.value.line, excinfo.value.column) == (
+            text.count("\n", 0, at) + 1, at - line_start + 1)
 
 
 class TestSeedPrecedence:

@@ -280,6 +280,21 @@ class TestErrors:
             "error: line 2, column 19: not UTF-8: byte 0xff\n")
         assert "Traceback" not in proc.stderr
 
+    def test_stray_line_break_positioned(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text("[bench]\nsigma_f_hz = 2.5e5\x0cx\ntau1_s = 1e-6\n")
+        assert main(["simulate", "--config", str(path), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 2, column 19: line break '\\x0c'")
+
+    def test_non_utf8_line_counts_only_newlines(self, tmp_path, capsys):
+        # the form feed and NEL before the bad byte break no line
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"[bench]\r\n# a\x0c b\xc2\x85 c\nsigma_f_hz = \xff\n")
+        assert main(["simulate", "--config", str(path), "--quiet"]) == 2
+        assert capsys.readouterr().err == (
+            "error: line 3, column 14: not UTF-8: byte 0xff\n")
+
     def test_usage_error_exit_2(self):
         with pytest.raises(SystemExit) as err:
             main(["enumerate", "--format", "xml"])

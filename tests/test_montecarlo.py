@@ -18,7 +18,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cohom.analytic import fringe_visibility, local_intensity
@@ -31,6 +31,7 @@ from cohom.montecarlo import (
     CountsAccumulator,
     G2Estimate,
     RunConfig,
+    _FRINGE_POWERS,
     _inject_accidentals,
     _window_acceptance,
     click_pattern_table,
@@ -558,9 +559,56 @@ def pattern_table(**overrides) -> dict:
     return dict(zip(CLICK_PATTERNS, click_pattern_table(config)))
 
 
+def click_pattern_table_by_convolution(config) -> np.ndarray:
+    """Oracle: the click-pattern table built one pattern at a time, each
+    pattern's polynomial in (v, u) from one np.convolve per detector."""
+    cos_means = [1.0, *(fringe_visibility(m * config.sigma_f, config.tau1,
+                                          config.tau2)
+                        for m in (1, 2, 3, 4))]
+    moments = np.maximum(_FRINGE_POWERS @ cos_means, 0.0)
+    forms = []
+    for k in DETECTORS:
+        bright = local_intensity(k, 0.0, 0.0, 0.0)
+        click = config.mean_photon_number * np.array([1.0 - bright, bright])
+        forms.append((click, 1.0 - click))
+    table = []
+    for fired in CLICK_PATTERNS:
+        poly = np.ones(1)
+        for k, (click, miss) in zip(DETECTORS, forms):
+            poly = np.convolve(poly, click if k in fired else miss)
+        table.append(poly @ moments)
+    return np.array(table)
+
+
+#: delays, among them ones whose sum or fringe phase overflows a float
+_DELAYS = st.one_of(st.sampled_from([0.0, 1e-6, 1e10, 1e308]),
+                    st.floats(0.0, 5e-6))
+
+
 class TestClickPatternTable:
-    @pytest.mark.parametrize("overrides", [dict(sigma_f=0.0),
-                                           dict(tau1=0.0, tau2=0.0)])
+    @settings(max_examples=300, deadline=None)
+    @given(sigma_f=st.one_of(st.sampled_from([0.0, 1.0, 1e300]),
+                             st.floats(0.0, 1e8)),
+           tau1=_DELAYS, tau2=_DELAYS,
+           mu=st.one_of(st.just(1.0), st.floats(1e-6, 1.0)))
+    @example(sigma_f=0.0, tau1=1e-6, tau2=1e-6, mu=1.0)
+    @example(sigma_f=0.0, tau1=1e308, tau2=1e308, mu=0.5)
+    @example(sigma_f=1e300, tau1=1e10, tau2=1e10, mu=1.0)
+    @example(sigma_f=1.0, tau1=1e308, tau2=0.0, mu=0.3)
+    def test_matches_the_convolution_oracle_bit_for_bit(self, sigma_f, tau1,
+                                                        tau2, mu):
+        config = base_config(mode="classical", sigma_f=sigma_f, tau1=tau1,
+                             tau2=tau2, mean_photon_number=mu)
+        table = click_pattern_table(config)
+        assert table.shape == (len(CLICK_PATTERNS),)
+        assert ([float.hex(float(p)) for p in table]
+                == [float.hex(float(p))
+                    for p in click_pattern_table_by_convolution(config)])
+
+    @pytest.mark.parametrize("overrides", [
+        dict(sigma_f=0.0), dict(tau1=0.0, tau2=0.0),
+        # the delay sum overflows, but zero detuning is zero phase
+        dict(sigma_f=0.0, tau1=1e308, tau2=1e308)])
     @pytest.mark.parametrize("mu", [1e-4, 0.5, 0.9, 1.0])
     def test_dark_ports_never_click_at_zero_phase(self, overrides, mu):
         table = pattern_table(mean_photon_number=mu, **overrides)

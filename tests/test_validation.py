@@ -3,7 +3,11 @@ suite runs them under fixed names."""
 
 import json
 import math
+import tracemalloc
 from dataclasses import replace
+
+import numpy as np
+import pytest
 
 import cohom.validation
 from cohom.analytic import local_intensity
@@ -12,6 +16,7 @@ from cohom.montecarlo import OUTCOMES, click_pattern_table, pair_amplitudes
 from cohom.optics import PathTag, bench_detector_fields
 from cohom.validation import (
     _worst,
+    check_analytic_coincidence_zero,
     check_classical_marginals,
     check_element_unitarity,
     check_intensity_consistency,
@@ -99,6 +104,43 @@ def test_wrong_detuning_width_fails_classical_marginals(monkeypatch):
         lambda config: click_pattern_table(
             replace(config, sigma_f=1.01 * config.sigma_f)))
     assert not check_classical_marginals().passed
+
+
+def spike_at(corner):
+    """A coincidence rate that reads 1.0 at one (detuning, tau1, tau2)
+    point and 0.0 everywhere else, for any argument shapes."""
+    def rate(delta_f, tau1, tau2):
+        d, t1, t2 = np.broadcast_arrays(delta_f, tau1, tau2)
+        return ((d == corner[0]) & (t1 == corner[1])
+                & (t2 == corner[2])).astype(float)
+    return rate
+
+
+@pytest.mark.parametrize("corner", [(-5e6, 0.0, 0.0), (5e6, 5e-6, 5e-6)],
+                         ids=["first", "last"])
+@pytest.mark.parametrize("rate", ["coincidence_r13", "coincidence_r24"])
+def test_grid_corner_spike_fails_coincidence_zero(monkeypatch, corner, rate):
+    # the check walks the grid one detuning slab at a time; a rate that
+    # is nonzero only in the first or the last slab must still show
+    assert check_analytic_coincidence_zero().passed
+    monkeypatch.setattr(cohom.validation, rate, spike_at(corner))
+    result = check_analytic_coincidence_zero()
+    assert not result.passed
+    assert result.measured == 1.0
+
+
+def test_validation_working_set_stays_small():
+    # numpy reports its buffers to tracemalloc, so the traced peak is the
+    # suite's largest live working set; no check may hold the 50^3
+    # coincidence grid at once
+    run_validation()
+    tracemalloc.start()
+    try:
+        run_validation()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_progress_labels_are_the_check_names():
