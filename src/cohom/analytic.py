@@ -45,10 +45,12 @@ def local_intensity(port: int, delta_f, tau1, tau2):
     """Single-port intensity (I0/2)(1 +- cos(2*delta_f*(tau1+tau2))).
 
     Accepts scalars or numpy arrays; + for ports 1 and 4, - for 2 and 3.
+    Zero detuning gives the exact bright or dark value; a phase that
+    overflows a float gives NaN, the fringe position being unknown.
     """
-    sign = _PORT_SIGN[port]
-    phase = 2.0 * np.asarray(delta_f) * (np.asarray(tau1) + np.asarray(tau2))
-    out = 0.5 * (1.0 + sign * np.cos(phase))
+    with np.errstate(over="ignore", invalid="ignore"):
+        cos = np.cos(2.0 * _arm_phase(delta_f, tau1, tau2))
+    out = 0.5 * (1.0 + _PORT_SIGN[port] * cos)
     return out if out.ndim else float(out)
 
 
@@ -104,16 +106,14 @@ def _cross_port_rate(port_i: int, port_j: int, delta_f, tau1, tau2):
     # the rate does not depend on the phase, so a phase past the float
     # range (a washed-out fringe) may stand at zero
     phase = np.where(np.isfinite(phase), phase, 0.0)
-    # one cosine and one sine give both unit-modulus arm factors
     c, s = np.cos(phase), np.sin(phase)
-    u = c + 1j * s
-    d = c - 1j * s
     i_up, i_down = _PORT_COEFFS[port_i]
     j_up, j_down = _PORT_COEFFS[port_j]
-    # both assignments carry the same arm product u d, so the coefficient
-    # sum is formed first: for ports (1, 3) and (2, 4) it is exactly 0
-    amp = (i_up * j_down + i_down * j_up) * (u * d)
-    out = np.abs(amp) ** 2
+    # both assignments carry the same arm product u d of the arm factors
+    # u = c + i s and d = conj(u), which is the real c^2 + s^2; the
+    # coefficient sum is formed first, and for ports (1, 3) and (2, 4) it
+    # is exactly 0
+    out = abs(i_up * j_down + i_down * j_up) ** 2 * (c * c + s * s) ** 2
     return out if out.ndim else float(out)
 
 

@@ -2,7 +2,8 @@
 
 Configs are a strict, flat INI subset: ``[section]`` headers and
 ``key = value`` lines, ``#``/``;`` comment lines, no inline comments.
-A line ends at ``\\n`` or ``\\r\\n`` and nowhere else.
+A line ends at ``\\n`` or ``\\r\\n`` and nowhere else, and holds no control
+character but tab.
 Every key is scalar and belongs to a closed schema; unknown sections or
 keys, duplicates, type errors and range violations are rejected with the
 line and column where they occur.  File quantities are SI (Hz, seconds);
@@ -72,7 +73,12 @@ class _Token:
 #: the characters besides "\n" that str.splitlines breaks lines at; a
 #: config line ends only at "\n" (one "\r" before it is dropped), so
 #: these are rejected where they stand
-_STRAY_BREAK = re.compile("[\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]")
+_STRAY_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+#: the stray line breaks, every C0 or C1 control character but tab and
+#: "\n", and DEL: str.strip would drop some of them silently, and none
+#: would show in a message
+_FORBIDDEN = re.compile(f"[\x00-\x08\x0b-\x1f\x7f-\x9f{_STRAY_BREAKS}]")
 
 
 def _lines(text: str) -> list:
@@ -85,11 +91,13 @@ def _tokenize(text: str) -> dict:
     sections: dict = {}
     current = None
     for lineno, raw in enumerate(_lines(text), start=1):
-        stray = _STRAY_BREAK.search(raw)
-        if stray:
-            raise ConfigParseError(
-                f"line break {stray.group()!r} inside a line; config lines "
-                "end at '\\n'", lineno, stray.start() + 1)
+        bad = _FORBIDDEN.search(raw)
+        if bad:
+            char = bad.group()
+            message = (f"line break {char!r} inside a line; config lines "
+                       "end at '\\n'" if char in _STRAY_BREAKS
+                       else f"control character {char!r} in a line")
+            raise ConfigParseError(message, lineno, bad.start() + 1)
         stripped = raw.strip()
         if not stripped or stripped.startswith(("#", ";")):
             continue

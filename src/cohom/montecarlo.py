@@ -55,6 +55,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import threading
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -494,13 +495,38 @@ def scan_tau21(config: RunConfig, tau21_values, workers: int = 1) -> list:
     if workers <= 1:
         counts = [simulate_run(c) for c in point_configs]
     else:
-        # imported here so that a serial scan and every other command
-        # skip its start-up cost
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            counts = list(pool.map(simulate_run, point_configs))
+        counts = _run_on_threads(point_configs, workers)
     return [
         ScanPoint(tau21=v, config=c, counts=k)
         for v, c, k in zip(values, point_configs, counts)
     ]
+
+
+def _run_on_threads(point_configs: list, workers: int) -> list:
+    """``simulate_run`` of every config on at most ``workers`` threads.
+
+    Plain threads, not ``concurrent.futures``, which imports ``logging``.
+    Thread w runs points w, w + workers, ... and stops at its first
+    exception; once every thread has joined, the exception of the
+    earliest failed point is raised, as ``ThreadPoolExecutor.map`` does.
+    """
+    counts = [None] * len(point_configs)
+    failures = {}
+
+    def run(first):
+        for i in range(first, len(point_configs), workers):
+            try:
+                counts[i] = simulate_run(point_configs[i])
+            except BaseException as exc:  # re-raised in the caller
+                failures[i] = exc
+                return
+
+    threads = [threading.Thread(target=run, args=(w,))
+               for w in range(min(workers, len(point_configs)))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    if failures:
+        raise failures[min(failures)]
+    return counts

@@ -216,6 +216,21 @@ class TestCoincidences:
         assert not np.any(coincidence_r13(*grid))
         assert not np.any(coincidence_r24(*grid))
 
+    def test_exactly_zero_on_detuning_slabs(self):
+        # validate's slabs: 5 detunings broadcast against the delay mesh,
+        # with overflowing phases among them
+        t1, t2 = np.meshgrid(np.linspace(0.0, 5e-6, 50),
+                             np.linspace(0.0, 5e-6, 50), indexing="ij")
+        t1[0, 0] = t2[0, 0] = 1e308
+        t1[1, 0] = 1e150
+        delta_f = np.array([-5e6, 0.0, 1.0, 3.3e6, 2e299]).reshape(5, 1, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for rate in (coincidence_r13, coincidence_r24):
+                out = rate(delta_f, t1, t2)
+                assert out.shape == (5, 50, 50)
+                assert not np.any(out)
+
 
 class TestOverflowingPhase:
     """A phase past the float range reads as a washed-out fringe."""
@@ -251,6 +266,29 @@ class TestOverflowingPhase:
             envelope = fringe_visibility(sigma_f, 1e308, 1e308)
             assert envelope[0] == 1.0 and envelope[1] == 0.0
             assert math.isnan(envelope[2])
+
+    @pytest.mark.parametrize("delta_f", [0.0, -0.0])
+    def test_local_intensity_at_zero_detuning(self, delta_f):
+        # the delay sum overflows, the phase is still exactly zero
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k, value in ((1, 1.0), (2, 0.0), (3, 0.0), (4, 1.0)):
+                assert local_intensity(k, delta_f, 1e308, 1e308) == value
+                out = local_intensity(k, np.array([delta_f, delta_f]),
+                                      np.array([1e308, 1e-6]), 1e308)
+                assert out.tolist() == [value, value]
+
+    @pytest.mark.parametrize("delta_f", [1.0, -2e6])
+    def test_local_intensity_overflowing_phase(self, delta_f):
+        # the fringe position is unknown: NaN, not a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in (1, 2, 3, 4):
+                assert math.isnan(local_intensity(k, delta_f, 1e308, 1e308))
+                out = local_intensity(k, np.array([delta_f, delta_f, 0.0]),
+                                      np.array([1e308, 1e-6, 1e308]), 1e308)
+                assert math.isnan(out[0]) and math.isnan(out[1])
+                assert out[2] == (1.0 if k in (1, 4) else 0.0)
 
     def test_analytic_command(self, tmp_path, capsys):
         config = tmp_path / "overflow.ini"

@@ -39,6 +39,12 @@ from cohom.montecarlo import (
 #: the line breaks of str.splitlines other than "\n" and "\r\n"
 STRAY_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
+#: the C0 and C1 control characters and DEL that break no line, tab
+#: excepted
+CONTROL_CHARS = "".join(
+    chr(code) for code in [*range(0x20), 0x7f, *range(0x80, 0xa0)]
+    if chr(code) not in STRAY_BREAKS + "\t\n")
+
 MINIMAL = """\
 [bench]
 sigma_f_hz = 1e6
@@ -175,6 +181,19 @@ class TestParseErrors:
         err = self.err("# note\u2028[bench]\n" + MINIMAL)
         assert (err.line, err.column) == (1, 7)
 
+    @pytest.mark.parametrize("char", list(CONTROL_CHARS))
+    def test_control_character_positioned(self, char):
+        # str.strip alone would drop "\x1f" at a value's end unseen
+        for text, where in ((MINIMAL.replace("1e6", "1e6" + char), (2, 17)),
+                            ("# note" + char + "\n" + MINIMAL, (1, 7))):
+            err = self.err(text)
+            assert f"control character {char!r}" in str(err)
+            assert (err.line, err.column) == where
+
+    def test_tab_is_whitespace(self):
+        assert parse_config(MINIMAL.replace(" = ", "\t=\t")) == (
+            parse_config(MINIMAL))
+
     def test_bad_int(self):
         err = self.err(MINIMAL + "[source]\nn_pairs = 2.5\n")
         assert "not an integer" in str(err)
@@ -297,7 +316,8 @@ def config_documents(draw):
     text = "\n".join(lines) + "\n"
     if draw(st.booleans()):
         at = draw(st.integers(0, len(text)))
-        text = text[:at] + draw(st.sampled_from(STRAY_BREAKS)) + text[at:]
+        text = (text[:at] + draw(st.sampled_from(STRAY_BREAKS + CONTROL_CHARS))
+                + text[at:])
     return text
 
 
@@ -393,12 +413,14 @@ class TestRoundTrip:
 
 
 class TestStrayLineBreaks:
+    """A stray line break or any other control character but tab."""
+
     @given(setup=valid_setups(), data=st.data())
     @settings(max_examples=200, deadline=None)
     def test_rejected_where_it_stands(self, setup, data):
         text = render_config(*setup)
         at = data.draw(st.integers(0, len(text)))
-        char = data.draw(st.sampled_from(STRAY_BREAKS))
+        char = data.draw(st.sampled_from(STRAY_BREAKS + CONTROL_CHARS))
         # a "\r" that ends a line is the "\r" of a "\r\n" line end
         assume(char != "\r" or text[at:at + 1] not in ("\n", ""))
         with pytest.raises(ConfigParseError) as excinfo:
@@ -406,6 +428,8 @@ class TestStrayLineBreaks:
         line_start = text.rfind("\n", 0, at) + 1
         assert (excinfo.value.line, excinfo.value.column) == (
             text.count("\n", 0, at) + 1, at - line_start + 1)
+        # the message shows the character escaped
+        assert repr(char) in str(excinfo.value)
 
 
 class TestSeedPrecedence:

@@ -287,6 +287,13 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: line 2, column 19: line break '\\x0c'")
 
+    def test_control_character_positioned(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text("[bench]\nsigma_f_hz = 1e6\x1f\ntau1_s = 1e-6\n")
+        assert main(["simulate", "--config", str(path), "--quiet"]) == 2
+        assert capsys.readouterr().err == (
+            "error: line 2, column 17: control character '\\x1f' in a line\n")
+
     def test_non_utf8_line_counts_only_newlines(self, tmp_path, capsys):
         # the form feed and NEL before the bad byte break no line
         path = tmp_path / "bad.cfg"
@@ -413,10 +420,23 @@ class TestValidate:
 
 
 def test_import_skips_modules_only_some_commands_run():
-    # validate imports its suite, and a threaded scan its pool, on demand
+    # validate imports its suite on demand
     code = ("import sys, cohom.cli; print(sorted(m for m in "
             "('cohom.validation', 'concurrent.futures') if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], env=_package_env(),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_validate_loads_no_quadrature_pool_or_logging():
+    # the quadrature reference needs no LAPACK eigensolver, and the
+    # threaded scan in rerun-determinism no executor, which imports logging
+    code = ("import sys\nfrom cohom.cli import main\n"
+            "assert main(['validate', '--quiet']) == 0\n"
+            "print(sorted(m for m in ('numpy.polynomial', 'concurrent.futures',"
+            " 'logging') if m in sys.modules), file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", code], env=_package_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "[]\n"

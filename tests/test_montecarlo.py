@@ -14,6 +14,7 @@ classes is checked against the class-split draw it replaces.
 """
 
 import math
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -21,6 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cohom.montecarlo
 from cohom.analytic import fringe_visibility, local_intensity
 from cohom.montecarlo import (
     CLICK_PATTERNS,
@@ -748,6 +750,39 @@ class TestScan:
         parallel = scan_tau21(cfg, values, workers=3)
         assert [p.counts for p in serial] == [p.counts for p in again]
         assert [p.counts for p in serial] == [p.counts for p in parallel]
+
+    @pytest.mark.parametrize("workers", [2, 3, 4, 8])
+    @pytest.mark.parametrize("mode", ["amplitude", "classical"])
+    def test_threaded_scan_equals_serial(self, mode, workers):
+        cfg = base_config(n_pairs=5_000, higher_order_ratio=0.01, mode=mode)
+        values = np.linspace(-1e-7, 1e-7, 5)
+        assert scan_tau21(cfg, values, workers=workers) == scan_tau21(
+            cfg, values)
+
+    def test_threaded_scan_reraises_a_worker_exception(self, monkeypatch):
+        cfg = base_config(n_pairs=1_000)
+        values = np.linspace(-1e-7, 1e-7, 5)
+        points = scan_tau21(cfg, values)
+        # points 1 and 3 fail on different threads; the earlier one's
+        # exception reaches the caller, as ThreadPoolExecutor.map gives it
+        errors = {points[1].config.seed: RuntimeError("point 1"),
+                  points[3].config.seed: RuntimeError("point 3")}
+
+        def faulty(config):
+            if config.seed in errors:
+                raise errors[config.seed]
+            return simulate_run(config)
+
+        monkeypatch.setattr(cohom.montecarlo, "simulate_run", faulty)
+        threads_before = threading.active_count()
+        with pytest.raises(RuntimeError) as excinfo:
+            scan_tau21(cfg, values, workers=3)
+        assert excinfo.value is errors[points[1].config.seed]
+        assert threading.active_count() == threads_before
+        del errors[points[1].config.seed]
+        with pytest.raises(RuntimeError) as excinfo:
+            scan_tau21(cfg, values, workers=3)
+        assert excinfo.value is errors[points[3].config.seed]
 
     def test_negative_delay_beyond_tau1_rejected(self):
         cfg = base_config(tau1=1e-7, n_pairs=1000)

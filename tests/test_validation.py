@@ -10,15 +10,17 @@ import numpy as np
 import pytest
 
 import cohom.validation
-from cohom.analytic import local_intensity
+from cohom.analytic import ensemble_intensity, local_intensity
 from cohom.cli import render_report
 from cohom.montecarlo import OUTCOMES, click_pattern_table, pair_amplitudes
 from cohom.optics import PathTag, bench_detector_fields
 from cohom.validation import (
+    _gaussian_mean_cos,
     _worst,
     check_analytic_coincidence_zero,
     check_classical_marginals,
     check_element_unitarity,
+    check_ensemble_quadrature,
     check_intensity_consistency,
     check_outcome_table,
     check_stage_composition,
@@ -104,6 +106,25 @@ def test_wrong_detuning_width_fails_classical_marginals(monkeypatch):
         lambda config: click_pattern_table(
             replace(config, sigma_f=1.01 * config.sigma_f)))
     assert not check_classical_marginals().passed
+
+
+def test_trapezoid_reference_matches_gauss_hermite():
+    # oracle: a 96-node Gauss-Hermite rule for E[cos(a z)], z ~ N(0, 1),
+    # on the check's 31 spreads
+    a = 2.0 * np.linspace(0.0, 3.0, 31)
+    nodes, weights = np.polynomial.hermite.hermgauss(96)
+    oracle = np.cos(np.outer(math.sqrt(2.0) * a, nodes)) @ weights / math.sqrt(
+        math.pi)
+    assert np.max(np.abs(_gaussian_mean_cos(a) - oracle)) <= 1e-15
+
+
+def test_wider_spread_fails_ensemble_quadrature(monkeypatch):
+    assert check_ensemble_quadrature().passed
+    monkeypatch.setattr(
+        cohom.validation, "ensemble_intensity",
+        lambda port, sigma_f, tau1, tau2: ensemble_intensity(
+            port, 1.001 * sigma_f, tau1, tau2))
+    assert not check_ensemble_quadrature().passed
 
 
 def spike_at(corner):
