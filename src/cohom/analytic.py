@@ -100,20 +100,14 @@ def _cross_port_rate(port_i: int, port_j: int, delta_f, tau1, tau2):
     One photon of the pair travels the up arm, the other the down arm; the
     amplitude sums both assignments.  Same-arm products never appear: one
     photon cannot trigger both detectors, and equal-offset pairs are removed
-    by the heterodyne stage, so only cross-arm terms survive.
+    by the heterodyne stage, so only cross-arm terms survive.  Both carry
+    the same arm product u conj(u) of modulus one, so the rate is that of
+    the coefficient sum alone, broadcast over the parameters' shape.
     """
-    phase = _arm_phase(delta_f, tau1, tau2)
-    # the rate does not depend on the phase, so a phase past the float
-    # range (a washed-out fringe) may stand at zero
-    phase = np.where(np.isfinite(phase), phase, 0.0)
-    c, s = np.cos(phase), np.sin(phase)
     i_up, i_down = _PORT_COEFFS[port_i]
     j_up, j_down = _PORT_COEFFS[port_j]
-    # both assignments carry the same arm product u d of the arm factors
-    # u = c + i s and d = conj(u), which is the real c^2 + s^2; the
-    # coefficient sum is formed first, and for ports (1, 3) and (2, 4) it
-    # is exactly 0
-    out = abs(i_up * j_down + i_down * j_up) ** 2 * (c * c + s * s) ** 2
+    shape = np.broadcast_shapes(*map(np.shape, (delta_f, tau1, tau2)))
+    out = np.full(shape, abs(i_up * j_down + i_down * j_up) ** 2)
     return out if out.ndim else float(out)
 
 
@@ -121,9 +115,10 @@ def coincidence_r13(delta_f, tau1, tau2):
     """Coincidence rate between the two H ports; identically zero.
 
     The sum and difference ports share the same cross-arm product up to sign,
-    so the two pairing terms cancel exactly.  The cancellation is evaluated,
-    not asserted: the returned value is |pairing sum|^2 computed in floating
-    point, which is 0.0 for every argument.
+    so the two pairing terms cancel exactly.  What is evaluated is their port
+    coefficient sum, in floating point; the unit-modulus phase factor they
+    share is left out, so the result is 0.0 for every argument, NaN and
+    overflowing phases included.
     """
     return _cross_port_rate(1, 3, delta_f, tau1, tau2)
 

@@ -343,7 +343,7 @@ def resolve_seed(cli_seed: Optional[int], environ, file_seed: int) -> int:
             source, seed = ENV_SEED, int(raw, 0)
         except ValueError:
             raise ConfigParseError(
-                f"{ENV_SEED}: not an integer: '{raw}'") from None
+                f"{ENV_SEED}: not an integer: {raw!r}") from None
     else:
         return file_seed
     if seed < 0:

@@ -34,12 +34,13 @@ Two simulation modes:
     Gaussian detuning those means are the ensemble fringe envelope of
     :mod:`cohom.analytic`.
 
-Both modes draw the exact counts of a whole run in one loop over a table
-of slot outcomes: the 20 (path class, outcome) pairs at half weight in
-amplitude mode, the 16 click patterns in classical mode.  One
-multinomial over the table gives the singles, one binomial window
-acceptance per two-detector outcome gives its coincidences, and only
-outcomes with three or more clicks draw jitter stamps; their number
+Every count of a run, accidentals included, comes from one loop over two
+tables of slot outcomes: the mode's (the 20 (path class, outcome) pairs
+at half weight in amplitude mode, the 16 click patterns in classical
+mode), then the six detector pairs at equal weight for the accidental
+slots.  One multinomial over a table gives the singles, one binomial
+window acceptance per two-detector outcome gives its coincidences, and
+only outcomes with three or more clicks draw jitter stamps; their number
 grows as ``n_pairs * mean_photon_number**3`` (under 3 % of the slots at
 0.5).  They are drawn in blocks of at most ``CHUNK_SIZE`` slots merged as
 each one finishes, so memory stays bounded by one block.  Otherwise the
@@ -318,7 +319,12 @@ def _window_acceptance(config) -> float:
 
 @dataclass
 class CountsAccumulator:
-    """Integer tallies of one run (or one mergeable slice of a run)."""
+    """Integer tallies of one run (or one mergeable slice of a run).
+
+    ``n_postselected`` counts the kept events, accidental coincidences
+    included, as no filter removes them; in amplitude mode it is the sum
+    of the coincidences at any ``higher_order_ratio``.
+    """
 
     singles: dict
     coincidences: dict
@@ -372,27 +378,6 @@ def g2_estimate(counts: CountsAccumulator, pair) -> G2Estimate:
     return G2Estimate(value, stderr)
 
 
-def _inject_accidentals(config, rng, n_slots, acc) -> None:
-    """Higher-order bunching as uniform accidental two-detector hits.
-
-    Each contaminated slot deposits one extra photon pair on a uniformly
-    chosen detector pair; both photons always raise the singles counters,
-    and the coincidence registers when the jittered stamps stay inside
-    the window.  Accidentals carry no beat-note information, so the
-    heterodyne filter does not remove them.  The counts are drawn
-    directly: a binomial for the contaminated slots, a multinomial over
-    the detector pairs and a binomial window acceptance per pair.
-    """
-    n_acc = int(rng.binomial(n_slots, config.higher_order_ratio))
-    uniform = [1.0 / len(DETECTOR_PAIRS)] * len(DETECTOR_PAIRS)
-    p_window = _window_acceptance(config)
-    hits = rng.multinomial(n_acc, uniform).tolist()
-    for (i, j), n_hit in zip(DETECTOR_PAIRS, hits):
-        acc.singles[i] += n_hit
-        acc.singles[j] += n_hit
-        acc.coincidences[(i, j)] += int(rng.binomial(n_hit, p_window))
-
-
 def _jittered_block(config, rng, fired, size) -> CountsAccumulator:
     """Window tests of ``size`` slots in which exactly ``fired`` clicked.
 
@@ -412,8 +397,8 @@ def _jittered_block(config, rng, fired, size) -> CountsAccumulator:
     return block
 
 
-def _draw_counts(config, entries, probs) -> CountsAccumulator:
-    """Exact counts of a whole run over one table of slot outcomes.
+def _draw_counts(config, rng, n, entries, probs, acc) -> None:
+    """Add the exact counts of ``n`` slots over one outcome table to ``acc``.
 
     ``entries`` pairs the detectors that click in an outcome (a double
     hit lists its detector twice) with whether postselection may keep
@@ -422,12 +407,12 @@ def _draw_counts(config, entries, probs) -> CountsAccumulator:
     the pair's acceptance, so each such entry needs one binomial, drawn
     whether the entry is kept or not: a filter only ever removes counts
     from the same draws.  Slots with three or more clicks draw their
-    stamps in blocks of at most ``CHUNK_SIZE``.
+    stamps in blocks of at most ``CHUNK_SIZE``.  This loop is the only
+    code that turns probabilities into counts: a run calls it once for
+    its slot table and once for :data:`_ACCIDENTALS`.
     """
-    rng = np.random.default_rng(config.seed)
     p_window = _window_acceptance(config)
-    acc = CountsAccumulator.empty()
-    hits = rng.multinomial(config.n_pairs, probs)
+    hits = rng.multinomial(n, probs)
     for (fired, kept), n_hit in zip(entries, hits.tolist()):
         for k in fired:
             acc.singles[k] += n_hit
@@ -442,10 +427,13 @@ def _draw_counts(config, entries, probs) -> CountsAccumulator:
                                         min(CHUNK_SIZE, n_hit - start))
                 if kept:
                     acc.merge(block)
-    acc.n_generated = config.n_pairs
 
-    _inject_accidentals(config, rng, config.n_pairs, acc)
-    return acc
+
+#: Higher-order bunching as (entries, probs): one extra photon pair on a
+#: uniformly chosen detector pair, which carries no beat note, so the
+#: heterodyne filter keeps it.
+_ACCIDENTALS = ([(pair, True) for pair in DETECTOR_PAIRS],
+                [1.0 / len(DETECTOR_PAIRS)] * len(DETECTOR_PAIRS))
 
 
 def simulate_run(config: RunConfig) -> CountsAccumulator:
@@ -454,18 +442,27 @@ def simulate_run(config: RunConfig) -> CountsAccumulator:
     Classical mode draws over the click patterns, all kept.  Amplitude
     mode draws over the outcomes of both path classes, each class at
     half weight; the heterodyne filter keeps only the cross-path class.
+    A binomial at ``higher_order_ratio`` then picks the contaminated
+    slots, whose accidental pairs are drawn over :data:`_ACCIDENTALS`.
     The counts of the whole run come from one generator seeded with
     ``config.seed``, so the outcome is bit-identical across reruns with
     the same config.
     """
     if config.mode == "classical":
-        return _draw_counts(config, [(fired, True) for fired in CLICK_PATTERNS],
-                            click_pattern_table(config))
-    entries = [(outcome, cross_path or not config.heterodyne_filter)
-               for cross_path in (True, False) for outcome in OUTCOMES]
-    probs = np.concatenate([outcome_probability_table(cross_path) / 2.0
-                            for cross_path in (True, False)])
-    return _draw_counts(config, entries, probs)
+        entries = [(fired, True) for fired in CLICK_PATTERNS]
+        probs = click_pattern_table(config)
+    else:
+        entries = [(outcome, cross_path or not config.heterodyne_filter)
+                   for cross_path in (True, False) for outcome in OUTCOMES]
+        probs = np.concatenate([outcome_probability_table(cross_path) / 2.0
+                                for cross_path in (True, False)])
+    rng = np.random.default_rng(config.seed)
+    acc = CountsAccumulator.empty()
+    acc.n_generated = config.n_pairs
+    _draw_counts(config, rng, config.n_pairs, entries, probs, acc)
+    n_acc = int(rng.binomial(config.n_pairs, config.higher_order_ratio))
+    _draw_counts(config, rng, n_acc, *_ACCIDENTALS, acc)
+    return acc
 
 
 @dataclass(frozen=True)

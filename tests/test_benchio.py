@@ -447,6 +447,12 @@ class TestSeedPrecedence:
             resolve_seed(None, {"COHOM_SEED": "many"}, 1)
         assert "COHOM_SEED" in str(err.value)
 
+    def test_bad_env_value_escaped(self):
+        # a control character stays visible in the message
+        with pytest.raises(ConfigParseError) as err:
+            resolve_seed(None, {"COHOM_SEED": "5\x01"}, 1)
+        assert str(err.value) == r"COHOM_SEED: not an integer: '5\x01'"
+
 
 def small_run(**overrides):
     params = dict(sigma_f=1.5e6, tau1=1e-6, tau2=1e-6, n_pairs=20_000,

@@ -193,6 +193,12 @@ class TestSeedPrecedence:
         assert main(["simulate", "--config", point_cfg, "--quiet"]) == 2
         assert "COHOM_SEED" in capsys.readouterr().err
 
+    def test_bad_env_seed_escaped(self, point_cfg, capsys, monkeypatch):
+        monkeypatch.setenv("COHOM_SEED", "5\x01")
+        assert main(["simulate", "--config", point_cfg, "--quiet"]) == 2
+        assert capsys.readouterr().err == (
+            "error: COHOM_SEED: not an integer: '5\\x01'\n")
+
     def test_negative_flag_seed(self, point_cfg, capsys):
         code = main(["simulate", "--config", point_cfg, "--quiet",
                      "--seed", "-1"])

@@ -34,7 +34,6 @@ from cohom.montecarlo import (
     G2Estimate,
     RunConfig,
     _FRINGE_POWERS,
-    _inject_accidentals,
     _window_acceptance,
     click_pattern_table,
     detector_convolve,
@@ -87,6 +86,26 @@ def base_config(**overrides) -> RunConfig:
     return RunConfig(**defaults)
 
 
+def add_accidentals(config, rng, acc) -> None:
+    """Oracle for the higher-order accidentals of a run.
+
+    A binomial picks the contaminated slots, a multinomial spreads them
+    uniformly over the detector pairs, and each pair keeps the hits that
+    pass the window, whatever the filter; both photons of a hit raise
+    the singles.
+    """
+    n_acc = int(rng.binomial(config.n_pairs, config.higher_order_ratio))
+    p_window = _window_acceptance(config)
+    hits = rng.multinomial(n_acc, [1.0 / len(DETECTOR_PAIRS)]
+                           * len(DETECTOR_PAIRS))
+    for (i, j), n_hit in zip(DETECTOR_PAIRS, hits.tolist()):
+        n_kept = int(rng.binomial(n_hit, p_window))
+        acc.singles[i] += n_hit
+        acc.singles[j] += n_hit
+        acc.coincidences[(i, j)] += n_kept
+        acc.n_postselected += n_kept
+
+
 def per_slot_classical_run(config, rng) -> CountsAccumulator:
     """Oracle for classical mode: every slot simulated one by one.
 
@@ -114,7 +133,7 @@ def per_slot_classical_run(config, rng) -> CountsAccumulator:
         any_pair |= sel
     acc.n_postselected = int(np.count_nonzero(any_pair))
     acc.n_generated = n
-    _inject_accidentals(config, rng, n, acc)
+    add_accidentals(config, rng, acc)
     return acc
 
 
@@ -142,7 +161,7 @@ def class_split_amplitude_run(config, rng) -> CountsAccumulator:
                 acc.coincidences[(i, j)] += n_kept
                 acc.n_postselected += n_kept
     acc.n_generated = config.n_pairs
-    _inject_accidentals(config, rng, config.n_pairs, acc)
+    add_accidentals(config, rng, acc)
     return acc
 
 
@@ -491,6 +510,14 @@ class TestSimulateAmplitude:
                              heterodyne_filter=heterodyne_filter)
         assert_count_means_match(config, class_split_amplitude_run)
 
+    @pytest.mark.parametrize("heterodyne_filter", [True, False])
+    def test_postselected_counts_accidentals(self, heterodyne_filter):
+        # accidental coincidences pass the window and no filter removes
+        # them, so they are kept events like the correlated pairs
+        counts = simulate_run(base_config(higher_order_ratio=0.3,
+                                          heterodyne_filter=heterodyne_filter))
+        assert counts.n_postselected == sum(counts.coincidences.values())
+
     def test_accidental_floor(self):
         n = 200_000
         ratio = 0.01
@@ -541,6 +568,34 @@ class TestSimulateClassical:
                              tau2=tau2, n_pairs=20_000, pulse_sigma=4e-9,
                              higher_order_ratio=0.01)
         assert_count_means_match(config, per_slot_classical_run)
+
+    def test_counts_past_int64_stay_exact(self):
+        # at sigma_f = 0 and mu = 1 every slot fires D1 and D4, and the
+        # accidentals push both singles past the int64 range
+        n = 2**63 - 1
+        counts = simulate_run(base_config(mode="classical", sigma_f=0.0,
+                                          mean_photon_number=1.0,
+                                          higher_order_ratio=0.5, n_pairs=n))
+        for k in (1, 4):
+            assert type(counts.singles[k]) is int
+            assert counts.singles[k] > n
+
+    def test_counts_ignore_stamp_block_size(self, monkeypatch):
+        # the stamps of a run are one normal stream drawn in order, so
+        # how it is cut into blocks cannot move a count; at mu = 1 on a
+        # washed-out fringe each three-click pattern takes 5/128 of the
+        # slots, about 43000, which spans two default blocks
+        config = base_config(mode="classical", sigma_f=2.5e6,
+                             mean_photon_number=1.0, n_pairs=1_100_000,
+                             higher_order_ratio=0.01)
+        three_clicks = [p for fired, p in zip(CLICK_PATTERNS,
+                                              click_pattern_table(config))
+                        if len(fired) == 3]
+        assert min(three_clicks) * config.n_pairs > cohom.montecarlo.CHUNK_SIZE
+        reference = simulate_run(config)
+        for size in (1000, 7):
+            monkeypatch.setattr(cohom.montecarlo, "CHUNK_SIZE", size)
+            assert simulate_run(config) == reference
 
     def test_zero_phase_and_jitter_is_deterministic(self):
         # at sigma_f = 0 only D1 and D4 can click, at mu = 1 they always
