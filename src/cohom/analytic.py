@@ -17,6 +17,7 @@ I0 is normalized to 1 throughout.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,6 +172,11 @@ def _output_port(pol: Polarization, path: PathTag) -> str:
     return "B"
 
 
+def _label(pol: Polarization, index: int, path: PathTag) -> str:
+    """Photon label such as ``H_1^U``: polarization, pair index, arm."""
+    return f"{pol.value}_{index}^{path.value}"
+
+
 def enumerate_combinations() -> tuple[ComboRow, ...]:
     """All 16 path/polarization allocations of a photon pair.
 
@@ -181,28 +187,19 @@ def enumerate_combinations() -> tuple[ComboRow, ...]:
     pair; the remaining four (H-H and V-V, either arm order) are kept.
     """
     rows = []
-    for path_1 in (PathTag.U, PathTag.D):
-        for path_2 in (PathTag.U, PathTag.D):
-            for pol_1 in (Polarization.H, Polarization.V):
-                for pol_2 in (Polarization.H, Polarization.V):
-                    tag_1 = f"{pol_1.value}_1^{path_1.value}"
-                    tag_2 = f"{pol_2.value}_2^{path_2.value}"
-                    ports = (_output_port(pol_1, path_1), _output_port(pol_2, path_2))
-                    port_a = tuple(
-                        t for t, p in zip((tag_1, tag_2), ports) if p == "A"
-                    )
-                    port_b = tuple(
-                        t for t, p in zip((tag_1, tag_2), ports) if p == "B"
-                    )
-                    if path_1 is path_2:
-                        cls = ComboClass.SAME_PATH_EXCLUDED
-                    elif not port_a or not port_b:
-                        cls = ComboClass.SINGLE_PORT_EXCLUDED
-                    else:
-                        cls = ComboClass.CROSS_PATH_KEPT
-                    rows.append(
-                        ComboRow(path_1, path_2, pol_1, pol_2, port_a, port_b, cls)
-                    )
+    for path_1, path_2, pol_1, pol_2 in itertools.product(
+            PathTag, PathTag, Polarization, Polarization):
+        ports = {"A": [], "B": []}
+        for pol, index, path in ((pol_1, 1, path_1), (pol_2, 2, path_2)):
+            ports[_output_port(pol, path)].append(_label(pol, index, path))
+        if path_1 is path_2:
+            cls = ComboClass.SAME_PATH_EXCLUDED
+        elif not ports["A"] or not ports["B"]:
+            cls = ComboClass.SINGLE_PORT_EXCLUDED
+        else:
+            cls = ComboClass.CROSS_PATH_KEPT
+        rows.append(ComboRow(path_1, path_2, pol_1, pol_2, tuple(ports["A"]),
+                             tuple(ports["B"]), cls))
     return tuple(rows)
 
 
@@ -237,16 +234,6 @@ class PairChart:
         }
 
 
-_ROW_LABELS = ("H_1^U", "H_2^U", "V_1^D", "V_2^D")
-_COL_LABELS = ("H_1^D", "H_2^D", "V_1^U", "V_2^U")
-
-
-def _parse_label(label: str) -> tuple[Polarization, int, PathTag]:
-    pol, rest = label.split("_")
-    idx, path = rest.split("^")
-    return Polarization(pol), int(idx), PathTag(path)
-
-
 def pair_chart() -> PairChart:
     """Published pairing chart between the two detector groups.
 
@@ -255,12 +242,16 @@ def pair_chart() -> PairChart:
     blank; cross-polarization equal-offset cells with distinct indices are
     DELTA; everything else is empty.
     """
+    h, v, up, down = Polarization.H, Polarization.V, PathTag.U, PathTag.D
+    # (polarization, pair index, arm) of each row and column photon
+    rows = [(pol, index, path) for pol, path in ((h, up), (v, down))
+            for index in (1, 2)]
+    cols = [(pol, index, path) for pol, path in ((h, down), (v, up))
+            for index in (1, 2)]
     cells = []
-    for row_label in _ROW_LABELS:
-        r_pol, r_idx, r_path = _parse_label(row_label)
+    for r_pol, r_idx, r_path in rows:
         row = []
-        for col_label in _COL_LABELS:
-            c_pol, c_idx, c_path = _parse_label(col_label)
+        for c_pol, c_idx, c_path in cols:
             if r_pol is c_pol and r_path is not c_path and (r_idx, c_idx) != (2, 2):
                 row.append(PairMark.CORRELATED)
             elif r_pol is not c_pol and r_path is c_path and r_idx != c_idx:
@@ -268,4 +259,5 @@ def pair_chart() -> PairChart:
             else:
                 row.append(PairMark.EMPTY)
         cells.append(tuple(row))
-    return PairChart(_ROW_LABELS, _COL_LABELS, tuple(cells))
+    return PairChart(tuple(_label(*photon) for photon in rows),
+                     tuple(_label(*photon) for photon in cols), tuple(cells))

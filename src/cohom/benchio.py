@@ -20,6 +20,8 @@ formats; an undefined value (NaN, such as the g2 of a dead detector) is
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import platform
@@ -477,14 +479,32 @@ def make_manifest(command: str, config: RunConfig,
     }
 
 
+def csv_text(header, rows) -> str:
+    """CSV text of a header and its rows, each line ending in "\\n".
+
+    A field is quoted only when it holds a comma, a quote or a line
+    break (RFC 4180).  Every CSV output of the bench is written here.
+    """
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+def json_text(payload) -> str:
+    """Strict JSON text of ``payload``, indented by two, with a final
+    newline; a NaN or infinity raises instead of being written.  Every
+    JSON output of the bench is written here."""
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+
 def render_results_csv(result: RunResult) -> str:
-    lines = [CSV_HEADER]
-    for row in result.rows:
-        lines.append(",".join(
-            str(getattr(row, field)) if kind is int
-            else _fmt(getattr(row, field))
-            for _, field, kind in _COLUMNS))
-    return "\n".join(lines) + "\n"
+    return csv_text(
+        (name for name, _, _ in _COLUMNS),
+        ([str(getattr(row, field)) if kind is int
+          else _fmt(getattr(row, field)) for _, field, kind in _COLUMNS]
+         for row in result.rows))
 
 
 def _row_dict(row: ResultRow) -> dict:
@@ -498,7 +518,7 @@ def render_results_json(result: RunResult) -> str:
         "manifest": result.manifest,
         "rows": [_row_dict(row) for row in result.rows],
     }
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    return json_text(payload)
 
 
 def render_results(result: RunResult, fmt: str) -> str:

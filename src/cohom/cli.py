@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import math
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from .analytic import enumerate_combinations, pair_chart
 from .benchio import (
@@ -30,6 +29,8 @@ from .benchio import (
     ConfigParseError,
     RunResult,
     analytic_rows,
+    csv_text,
+    json_text,
     make_manifest,
     read_config,
     render_results,
@@ -37,8 +38,6 @@ from .benchio import (
     simulation_rows,
 )
 from .montecarlo import ConfigError, ScanPoint, scan_tau21, simulate_run
-
-COMBO_CSV_HEADER = "path_1,path_2,pol_1,pol_2,port_a,port_b,classification"
 
 
 def _emit(text: str, out_path) -> None:
@@ -76,44 +75,30 @@ def _progress(args):
 
 
 def render_combos(fmt: str) -> str:
-    rows = enumerate_combinations()
+    # ComboRow's fields are the columns; an enum is written as its value
+    records = [{name: getattr(value, "value", value)
+                for name, value in asdict(row).items()}
+               for row in enumerate_combinations()]
     if fmt == "json":
-        records = [
-            {
-                "path_1": r.path_1.value,
-                "path_2": r.path_2.value,
-                "pol_1": r.pol_1.value,
-                "pol_2": r.pol_2.value,
-                "port_a": list(r.port_a),
-                "port_b": list(r.port_b),
-                "classification": r.classification.value,
-            }
-            for r in rows
-        ]
-        return json.dumps(records, indent=2) + "\n"
-    lines = [COMBO_CSV_HEADER]
-    for r in rows:
-        lines.append(
-            f"{r.path_1.value},{r.path_2.value},{r.pol_1.value},"
-            f"{r.pol_2.value},{'+'.join(r.port_a)},{'+'.join(r.port_b)},"
-            f"{r.classification.value}"
-        )
-    return "\n".join(lines) + "\n"
+        return json_text(records)
+    # a port holds a tuple of photon labels, written "+"-joined
+    return csv_text(records[0], (
+        [v if isinstance(v, str) else "+".join(v) for v in record.values()]
+        for record in records))
 
 
 def render_chart(fmt: str) -> str:
     chart = pair_chart()
     if fmt == "json":
-        return json.dumps(chart.to_dict(), indent=2) + "\n"
-    lines = ["," + ",".join(chart.col_labels)]
-    for label, row in zip(chart.row_labels, chart.cells):
-        lines.append(label + "," + ",".join(mark.value for mark in row))
-    return "\n".join(lines) + "\n"
+        return json_text(chart.to_dict())
+    return csv_text(("", *chart.col_labels), (
+        (label, *(mark.value for mark in row))
+        for label, row in zip(chart.row_labels, chart.cells)))
 
 
 def render_report(results, fmt: str) -> str:
     if fmt == "json":
-        payload = {
+        return json_text({
             "passed": all(r.passed for r in results),
             "checks": [
                 {
@@ -127,15 +112,11 @@ def render_report(results, fmt: str) -> str:
                 }
                 for r in results
             ],
-        }
-        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
-    lines = ["check,status,measured,tolerance,detail"]
-    for r in results:
-        status = "pass" if r.passed else "fail"
-        lines.append(
-            f"{r.name},{status},{r.measured:.6g},{r.tolerance:.6g},{r.detail}"
-        )
-    return "\n".join(lines) + "\n"
+        })
+    return csv_text(("check", "status", "measured", "tolerance", "detail"), (
+        (r.name, "pass" if r.passed else "fail", f"{r.measured:.6g}",
+         f"{r.tolerance:.6g}", r.detail)
+        for r in results))
 
 
 def _load_config(args):

@@ -69,15 +69,10 @@ from .optics import PathTag, detector_path_coefficients
 CHUNK_SIZE = 32768
 
 DETECTORS = (1, 2, 3, 4)
-DETECTOR_PAIRS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
+DETECTOR_PAIRS = tuple(itertools.combinations(DETECTORS, 2))
 
 #: Unordered two-photon detector outcomes; (k, k) means both photons at D_k.
-OUTCOMES = (
-    (1, 1), (1, 2), (1, 3), (1, 4),
-    (2, 2), (2, 3), (2, 4),
-    (3, 3), (3, 4),
-    (4, 4),
-)
+OUTCOMES = tuple(itertools.combinations_with_replacement(DETECTORS, 2))
 
 #: The detectors that click in one classical slot, one entry per pattern.
 CLICK_PATTERNS = tuple(
@@ -233,16 +228,13 @@ def outcome_probability_table(cross_path: bool) -> np.ndarray:
     (UU, DD); the two arm pairs of a class give the same table.  The
     detuning, the delays and the optical phase enter the pairing sums
     only as unit-modulus factors, so one evaluation of
-    :func:`pair_amplitudes` at zero stands for every pair of the class.
-    Each table is therefore built once per process; every caller gets
-    the same read-only array.
+    :func:`pair_amplitudes` at zero stands for every pair of the class;
+    there every suppressed outcome cancels to an exact 0.0.  Each table
+    is therefore built once per process; every caller gets the same
+    read-only array.
     """
     paths = (PathTag.U, PathTag.D) if cross_path else (PathTag.U, PathTag.U)
     table = outcome_probabilities(pair_amplitudes(0.0, 0.0, 0.0, 0.0, paths))
-    # Suppressed outcomes cancel only to float precision (~1e-33 at a
-    # general detuning); a per-event sampler drawing uniforms on the
-    # 2**-53 grid could not reach them either, so they are exact zeros.
-    table[table < np.finfo(float).eps] = 0.0
     table.setflags(write=False)
     return table
 
@@ -482,7 +474,7 @@ def scan_tau21(config: RunConfig, tau21_values, workers: int = 1) -> list:
     points may execute in parallel; results are returned in scan order.
     """
     values = [float(v) for v in tau21_values]
-    children = np.random.SeedSequence(config.seed).spawn(max(len(values), 1))
+    children = np.random.SeedSequence(config.seed).spawn(len(values))
     point_configs = []
     for value, child in zip(values, children):
         point_seed = int(child.generate_state(1, np.uint64)[0])

@@ -448,37 +448,43 @@ def check_filter_monotonicity() -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
+#: the suite in run order; each name runs the module's check_<name>
+CHECKS = (
+    "analytic-coincidence-zero",
+    "amplitude-exact-zero",
+    "higher-order-floor",
+    "classical-baseline",
+    "intensity-consistency",
+    "intensity-conservation",
+    "amplitude-singles",
+    "outcome-table",
+    "classical-singles",
+    "ensemble-quadrature",
+    "classical-marginals",
+    "uniform-limit",
+    "combination-table",
+    "pair-chart",
+    "element-unitarity",
+    "waveplate-balance",
+    "stage-composition",
+    "rerun-determinism",
+    "filter-monotonicity",
+)
+
+
 def run_validation(progress: Optional[Callable[[str], None]] = None) -> list:
     """Run the full check suite and return a list of CheckResult.
+
+    Each check is looked up as a module global when it runs, so a
+    replaced ``check_*`` function is the one called.
 
     Args:
         progress: optional callable invoked with each check name as it
             starts (the CLI points this at stderr).
     """
     results = []
-
-    def run(label, thunk):
+    for name in CHECKS:
         if progress is not None:
-            progress(label)
-        results.append(thunk())
-
-    run("analytic-coincidence-zero", check_analytic_coincidence_zero)
-    run("amplitude-exact-zero", check_amplitude_exact_zero)
-    run("higher-order-floor", check_higher_order_floor)
-    run("classical-baseline", check_classical_baseline)
-    run("intensity-consistency", check_intensity_consistency)
-    run("intensity-conservation", check_intensity_conservation)
-    run("amplitude-singles", check_amplitude_singles)
-    run("outcome-table", check_outcome_table)
-    run("classical-singles", check_classical_singles)
-    run("ensemble-quadrature", check_ensemble_quadrature)
-    run("classical-marginals", check_classical_marginals)
-    run("uniform-limit", check_uniform_limit)
-    run("combination-table", check_combination_table)
-    run("pair-chart", check_pair_chart)
-    run("element-unitarity", check_element_unitarity)
-    run("waveplate-balance", check_waveplate_balance)
-    run("stage-composition", check_stage_composition)
-    run("rerun-determinism", check_rerun_determinism)
-    run("filter-monotonicity", check_filter_monotonicity)
+            progress(name)
+        results.append(globals()["check_" + name.replace("-", "_")]())
     return results

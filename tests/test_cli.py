@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, formats, seeds, stream separation."""
 
+import csv
 import json
 import math
 import os
@@ -14,6 +15,7 @@ import pytest
 import cohom
 from cohom.analytic import pair_chart
 from cohom.cli import _emit, main
+from cohom.validation import check_outcome_table
 
 POINT_CFG = """\
 [bench]
@@ -66,35 +68,102 @@ def scan_cfg(tmp_path):
     return str(path)
 
 
+ENUMERATE_CSV = """\
+path_1,path_2,pol_1,pol_2,port_a,port_b,classification
+U,U,H,H,,H_1^U+H_2^U,same-path-excluded
+U,U,H,V,V_2^U,H_1^U,same-path-excluded
+U,U,V,H,V_1^U,H_2^U,same-path-excluded
+U,U,V,V,V_1^U+V_2^U,,same-path-excluded
+U,D,H,H,H_2^D,H_1^U,cross-path-kept
+U,D,H,V,,H_1^U+V_2^D,single-port-excluded
+U,D,V,H,V_1^U+H_2^D,,single-port-excluded
+U,D,V,V,V_1^U,V_2^D,cross-path-kept
+D,U,H,H,H_1^D,H_2^U,cross-path-kept
+D,U,H,V,H_1^D+V_2^U,,single-port-excluded
+D,U,V,H,,V_1^D+H_2^U,single-port-excluded
+D,U,V,V,V_2^U,V_1^D,cross-path-kept
+D,D,H,H,H_1^D+H_2^D,,same-path-excluded
+D,D,H,V,H_1^D,V_2^D,same-path-excluded
+D,D,V,H,H_2^D,V_1^D,same-path-excluded
+D,D,V,V,,V_1^D+V_2^D,same-path-excluded
+"""
+
+CHART_CSV = """\
+,H_1^D,H_2^D,V_1^U,V_2^U
+H_1^U,1,1,,1d
+H_2^U,1,,1d,
+V_1^D,,1d,1,1
+V_2^D,1d,,1,
+"""
+
+
+def _json_lines(payload) -> str:
+    """``payload`` as two-space indented JSON text with a final newline."""
+    return json.dumps(payload, indent=2) + "\n"
+
+
 class TestTables:
+    """The enumerate and chart outputs, byte for byte."""
+
+    def run(self, capsys, *argv):
+        assert main(list(argv)) == 0
+        return capsys.readouterr().out
+
     def test_enumerate_csv(self, capsys):
-        assert main(["enumerate"]) == 0
-        out = capsys.readouterr().out
-        lines = out.strip().splitlines()
-        assert len(lines) == 17  # header + 16 rows
-        assert lines[0].startswith("path_1,path_2,")
-        kept = [l for l in lines[1:] if l.endswith("cross-path-kept")]
-        assert len(kept) == 4
+        assert self.run(capsys, "enumerate") == ENUMERATE_CSV
 
-    def test_enumerate_json_is_array_of_16(self, capsys):
-        assert main(["enumerate", "--format", "json"]) == 0
-        records = json.loads(capsys.readouterr().out)
-        assert isinstance(records, list) and len(records) == 16
-        assert {r["classification"] for r in records} == {
-            "cross-path-kept", "same-path-excluded", "single-port-excluded"}
+    def test_enumerate_json(self, capsys):
+        header, *rows = (line.split(",")
+                         for line in ENUMERATE_CSV.splitlines())
+        records = [{key: (value.split("+") if value else [])
+                    if key.startswith("port_") else value
+                    for key, value in zip(header, row)} for row in rows]
+        assert self.run(capsys, "enumerate", "--format", "json") == (
+            _json_lines(records))
 
-    def test_chart_json_round_trips(self, capsys):
-        assert main(["chart", "--format", "json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
+    def test_chart_csv(self, capsys):
+        assert self.run(capsys, "chart") == CHART_CSV
+
+    def test_chart_json(self, capsys):
+        (_, *cols), *rows = (line.split(",")
+                             for line in CHART_CSV.splitlines())
+        payload = {"row_labels": [row[0] for row in rows],
+                   "col_labels": cols,
+                   "cells": [row[1:] for row in rows]}
+        assert self.run(capsys, "chart", "--format", "json") == (
+            _json_lines(payload))
         assert payload == pair_chart().to_dict()
-        assert len(payload["cells"]) == 4
-        assert all(len(row) == 4 for row in payload["cells"])
 
-    def test_chart_csv_shape(self, capsys):
-        assert main(["chart"]) == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert len(lines) == 5
-        assert all(line.count(",") == 4 for line in lines)
+
+class TestStrictCsv:
+    """Every CSV output reads back with csv.reader as a rectangle."""
+
+    @staticmethod
+    def read(capsys, argv) -> list:
+        assert main(argv) == 0
+        rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+        assert len(rows) >= 2
+        assert all(len(row) == len(rows[0]) for row in rows)
+        return rows
+
+    @pytest.mark.parametrize("command", ["enumerate", "chart"])
+    def test_tables(self, capsys, command):
+        self.read(capsys, [command])
+
+    def test_validate_detail_reads_back_whole(self, capsys):
+        rows = self.read(capsys, ["validate", "--quiet"])
+        details = {row[0]: row[4] for row in rows[1:]}
+        assert "," in check_outcome_table().detail
+        assert details["outcome-table"] == check_outcome_table().detail
+
+    @pytest.mark.parametrize("mode", ["amplitude", "classical"])
+    @pytest.mark.parametrize("command", ["analytic", "simulate", "scan"])
+    def test_result_tables(self, capsys, tmp_path, command, mode):
+        path = tmp_path / "run.cfg"
+        text = POINT_CFG if command == "simulate" else SCAN_CFG
+        path.write_text(text.replace("[run]", f"[run]\nmode = {mode}"))
+        rows = self.read(capsys, [command, "--config", str(path), "--quiet"])
+        assert len(rows) == (2 if command == "simulate" else 6)
 
 
 class TestAnalytic:

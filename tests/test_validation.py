@@ -15,6 +15,7 @@ from cohom.cli import render_report
 from cohom.montecarlo import OUTCOMES, click_pattern_table, pair_amplitudes
 from cohom.optics import PathTag, bench_detector_fields
 from cohom.validation import (
+    CHECKS,
     _gaussian_mean_cos,
     _worst,
     check_analytic_coincidence_zero,
@@ -164,11 +165,31 @@ def test_validation_working_set_stays_small():
     assert peak < 2 * 2**20
 
 
-def test_progress_labels_are_the_check_names():
+def test_progress_labels_are_the_check_names(monkeypatch):
+    # every module-level check_* is in the suite and runs exactly once,
+    # called through the module global, so perfbench's timing wrappers
+    # measure it
+    module = vars(cohom.validation)
+    functions = sorted(name for name, value in module.items()
+                       if name.startswith("check_") and callable(value))
+    assert functions == sorted(f"check_{name.replace('-', '_')}"
+                               for name in CHECKS)
+    calls = []
+
+    def counted(name, check):
+        def wrapper():
+            calls.append(name)
+            return check()
+        return wrapper
+
+    for name in functions:
+        monkeypatch.setattr(cohom.validation, name,
+                            counted(name, module[name]))
     labels = []
     results = run_validation(progress=labels.append)
+    assert sorted(calls) == functions
     # perfbench keys its validation.check.<name>_s metrics on these names
-    assert labels == [r.name for r in results] == [
+    assert labels == [r.name for r in results] == list(CHECKS) == [
         "analytic-coincidence-zero",
         "amplitude-exact-zero",
         "higher-order-floor",
