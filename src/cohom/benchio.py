@@ -21,6 +21,7 @@ formats; an undefined value (NaN, such as the g2 of a dead detector) is
 from __future__ import annotations
 
 import csv
+import decimal
 import io
 import json
 import math
@@ -158,10 +159,19 @@ def _as_int(tok: _Token) -> int:
     try:
         as_float = float(tok.text)
     except ValueError:
-        raise ConfigParseError(f"not an integer: '{tok.text}'",
-                               tok.line, tok.column) from None
+        as_float = math.nan
     if not (math.isfinite(as_float) and as_float.is_integer()):
         raise ConfigParseError(f"not an integer: '{tok.text}'",
+                               tok.line, tok.column)
+    # a float form counts only when its double is the number written;
+    # Decimal compares exactly and rejects an exponent too large for it
+    try:
+        exact = decimal.Decimal(tok.text) == decimal.Decimal(as_float)
+    except decimal.InvalidOperation:
+        exact = False
+    if not exact:
+        raise ConfigParseError(f"'{tok.text}' is not exactly a double; "
+                               "write the integer in digits",
                                tok.line, tok.column)
     return int(as_float)
 

@@ -10,7 +10,7 @@ Subcommands:
 
 Data goes to stdout (or ``--out``); progress goes to stderr and is silenced
 by ``--quiet``.  Exit codes: 0 success, 1 validation failure, 2 usage or
-configuration error.
+configuration error, or a failed write of the data.
 """
 
 from __future__ import annotations
@@ -46,10 +46,16 @@ def _emit(text: str, out_path) -> None:
     A file target is written as a temporary file beside it, which then
     replaces the target, so a failed write leaves an existing target
     untouched and removes the temporary file.  A device or a pipe (such
-    as /dev/stdout) cannot be renamed over and is written directly.
+    as /dev/stdout) cannot be renamed over and is written directly.  A
+    failed write raises BenchIOError naming its target (stdout is flushed
+    here, so that its failure shows here too).
     """
     if out_path is None:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:
+            raise BenchIOError(f"<stdout>: {exc}") from exc
         return
     atomic = os.path.isfile(out_path) or not os.path.exists(out_path)
     target = os.path.realpath(out_path) if atomic else out_path
@@ -66,6 +72,13 @@ def _emit(text: str, out_path) -> None:
         if atomic:
             with contextlib.suppress(FileNotFoundError):
                 os.remove(written)
+
+
+def _out_path(text: str) -> str:
+    """``--out``'s argument; an empty path names no file."""
+    if not text:
+        raise argparse.ArgumentTypeError("must name a file, not ''")
+    return text
 
 
 def _progress(args):
@@ -198,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
         if seed:
             sub.add_argument("--seed", type=int, default=None,
                              help="override the run seed (beats COHOM_SEED)")
-        sub.add_argument("--out", default=None,
+        sub.add_argument("--out", type=_out_path, default=None,
                          help="write output to this file instead of stdout")
         sub.add_argument("--format", choices=("csv", "json"), default="csv",
                          help="output format (default csv)")

@@ -1,25 +1,27 @@
 """Single-photon field algebra for the polarization-tagged bench.
 
-A photon is tracked as complex amplitudes over four modes: polarization
-(H or V) crossed with a path tag (U for the up arm, D for the down arm).
-The up arm carries a frequency offset +delta_f, the down arm -delta_f,
-and every element transform below is unitary on the four-mode amplitude
-vector.  Detection intensity is a different quantity from the norm: the
-two path components of one polarization stay mutually coherent and
-interfere, while orthogonal polarizations never do.
+A photon is a complex numpy array of amplitudes with the four modes H^U,
+H^D, V^U, V^D on axis 0 (polarization H or V crossed with a path tag: U
+for the up arm, D for the down arm), then the sample shape, which is
+empty for a single photon.  The up arm carries a frequency offset
++delta_f, the down arm -delta_f, and every element transform below is
+unitary on the four-mode amplitude vector.  Detection intensity is a
+different quantity from the norm: the two path components of one
+polarization stay mutually coherent and interfere, while orthogonal
+polarizations never do.
 
-Every element takes scalars or equal-shape numpy arrays, one sample per
-array entry, through one code path: the amplitudes are broadcast to a
-common sample shape and stacked modes first, and all arithmetic runs on
-those stacks.  A scalar call thus runs the same numpy loops as an array
-call (numpy's scalar arithmetic can round differently in the last bit),
-so one call on N samples gives exactly the results of N scalar calls.
+Every element takes as a field any length-4 sequence of scalars or of
+equal-shape arrays, one sample per array entry, through one code path:
+the amplitudes are broadcast to a common sample shape and stacked modes
+first, and all arithmetic runs on those stacks.  A scalar call thus runs
+the same numpy loops as an array call (numpy's scalar arithmetic can
+round differently in the last bit), so one call on N samples gives
+exactly the results of N scalar calls.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,57 +50,39 @@ def _value(x):
 
 
 def _split(fields, *params):
-    """Each field's amplitudes as one complex array, modes first, then each
-    parameter, all broadcast to one sample shape."""
-    values = np.broadcast_arrays(*(a for f in fields for a in f.amps), *params)
+    """Each field as one complex array, modes first, then each parameter,
+    all broadcast to one sample shape."""
+    values = np.broadcast_arrays(*(a for f in fields for a in f), *params)
     n = 4 * len(fields)
     modes = np.array(values[:n], dtype=complex)
     return (*modes.reshape(len(fields), 4, *modes.shape[1:]), *values[n:])
 
 
-@dataclass(frozen=True, eq=False)
-class PhotonField:
-    """Immutable four-mode amplitude vector.
+def vacuum() -> np.ndarray:
+    """The field with no amplitude in any mode."""
+    return np.zeros(4, dtype=complex)
 
-    Fields compare and hash by identity: array amplitudes have no single
-    truth value for ``==``.
 
-    Attributes:
-        amps: amplitudes ordered H^U, H^D, V^U, V^D; complex scalars, or
-            arrays of one shape holding one sample per entry.
+def from_jones(h, v) -> np.ndarray:
+    """Source photon before any path assignment.
+
+    The amplitudes are parked on the U labels of the input rail; a field
+    built this way is single-rail and acceptable to nmzi_transfer.
     """
-
-    amps: tuple
-
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def vacuum() -> "PhotonField":
-        return PhotonField((0j, 0j, 0j, 0j))
-
-    @staticmethod
-    def from_jones(h, v) -> "PhotonField":
-        """Source photon before any path assignment.
-
-        The amplitudes are parked on the U labels of the input rail; a field
-        built this way is single-rail and acceptable to nmzi_transfer.
-        """
-        return PhotonField(tuple(np.array(np.broadcast_arrays(h, 0j, v, 0j),
-                                          dtype=complex)))
-
-    # -- derived values ----------------------------------------------------
-
-    def total_norm(self):
-        """Sum of |amplitude|^2 over the four modes; conserved by every element.
-
-        A float for scalar amplitudes, an array of the sample shape otherwise.
-        """
-        (modes,) = _split([self])
-        hu, hd, vu, vd = np.abs(modes) ** 2
-        return _value(hu + hd + vu + vd)
+    return np.array(np.broadcast_arrays(h, 0j, v, 0j), dtype=complex)
 
 
-def intensity(field: PhotonField):
+def total_norm(field):
+    """Sum of |amplitude|^2 over the four modes; conserved by every element.
+
+    A float for a scalar field, an array of the sample shape otherwise.
+    """
+    (modes,) = _split([field])
+    hu, hd, vu, vd = np.abs(modes) ** 2
+    return _value(hu + hd + vu + vd)
+
+
+def intensity(field):
     """Detection intensity at a port.
 
     Same-polarization components from different arms add coherently (their
@@ -115,7 +99,7 @@ def intensity(field: PhotonField):
 # ---------------------------------------------------------------------------
 
 
-def hwp_transform(field: PhotonField, theta) -> PhotonField:
+def hwp_transform(field, theta) -> np.ndarray:
     """Half-wave plate at angle theta, applied per path tag.
 
     Jones matrix [[cos 2t, sin 2t], [sin 2t, -cos 2t]]; a reflection, so the
@@ -125,32 +109,31 @@ def hwp_transform(field: PhotonField, theta) -> PhotonField:
     c = np.cos(2.0 * theta)
     s = np.sin(2.0 * theta)
     h, v = modes[:2], modes[2:]
-    return PhotonField((*(c * h + s * v), *(s * h - c * v)))
+    return np.concatenate((c * h + s * v, s * h - c * v))
 
 
-def bs_transform(in_a: PhotonField, in_b: PhotonField) -> tuple[PhotonField, PhotonField]:
+def bs_transform(in_a, in_b) -> tuple[np.ndarray, np.ndarray]:
     """Lossless 50:50 splitter, reflection carries phase i.
 
     out_1 = (i*a + b)/sqrt(2), out_2 = (a + i*b)/sqrt(2), componentwise per
     mode label.  Tags are untouched; relabeling an arm is the caller's job.
     """
     a, b = _split([in_a, in_b])
-    return (PhotonField(tuple((1j * a + b) / _SQRT2)),
-            PhotonField(tuple((a + 1j * b) / _SQRT2)))
+    return (1j * a + b) / _SQRT2, (a + 1j * b) / _SQRT2
 
 
-def pbs_route(in_a: PhotonField, in_b: PhotonField) -> tuple[PhotonField, PhotonField]:
+def pbs_route(in_a, in_b) -> tuple[np.ndarray, np.ndarray]:
     """Polarizing splitter: H transmits, V reflects with phase i.
 
     Port 1 collects H of input a and (i times) V of input b; port 2 collects
     (i times) V of input a and H of input b.
     """
     a, b = _split([in_a, in_b])
-    return (PhotonField((*a[:2], *(1j * b[2:]))),
-            PhotonField((*b[:2], *(1j * a[2:]))))
+    return (np.concatenate((a[:2], 1j * b[2:])),
+            np.concatenate((b[:2], 1j * a[2:])))
 
 
-def detune_phase(field: PhotonField, delta_f, tau) -> PhotonField:
+def detune_phase(field, delta_f, tau) -> np.ndarray:
     """Advance the frequency-offset phase of every component by one stage.
 
     Each component picks up e^{i * sign(path) * delta_f * tau}; delta_f is an
@@ -159,7 +142,7 @@ def detune_phase(field: PhotonField, delta_f, tau) -> PhotonField:
     modes, delta_f, tau = _split([field], delta_f, tau)
     up = np.exp(1j * delta_f * tau)
     down = np.exp(-1j * delta_f * tau)
-    return PhotonField(tuple(modes * np.array([up, down, up, down])))
+    return modes * np.array([up, down, up, down])
 
 
 def _rail_sums(modes: np.ndarray, message: str) -> np.ndarray:
@@ -178,18 +161,16 @@ def _rail_sums(modes: np.ndarray, message: str) -> np.ndarray:
     return modes[0::2] + modes[1::2]
 
 
-def with_path(field: PhotonField, tag: PathTag) -> PhotonField:
+def with_path(field, tag: PathTag) -> np.ndarray:
     """Relabel a single-rail field onto one arm, preserving polarization."""
     (modes,) = _split([field])
     rails = _rail_sums(modes, "field already spans both arms; cannot retag")
     out = np.zeros_like(modes)
     out[(0 if tag is PathTag.U else 1)::2] = rails
-    return PhotonField(tuple(out))
+    return out
 
 
-def nmzi_transfer(
-    field: PhotonField, delta_f, tau1
-) -> tuple[PhotonField, PhotonField]:
+def nmzi_transfer(field, delta_f, tau1) -> tuple[np.ndarray, np.ndarray]:
     """Noninterfering Mach-Zehnder stage: splitter, counter-scanned offsets, combiner.
 
     The input photon is split 50:50 (reflection i into the up arm), each arm
@@ -203,7 +184,7 @@ def nmzi_transfer(
         tau1: stage delay, seconds.
 
     Returns:
-        (port_a, port_b) photon fields.
+        (port_a, port_b) fields.
 
     Raises:
         PathAssignmentError: if the input already carries both path tags.
@@ -219,7 +200,7 @@ def nmzi_transfer(
     port_a, port_b = np.zeros((2, *modes.shape), dtype=complex)
     port_a[1], port_a[2] = h_down, -v_up
     port_b[0], port_b[3] = h_up, v_down
-    return PhotonField(tuple(port_a)), PhotonField(tuple(port_b))
+    return port_a, port_b
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +208,7 @@ def nmzi_transfer(
 # ---------------------------------------------------------------------------
 
 
-def bench_detector_fields(delta_f, tau1, tau2) -> dict[int, PhotonField]:
+def bench_detector_fields(delta_f, tau1, tau2) -> dict[int, np.ndarray]:
     """Propagate a unit H photon through the bench; fields at detectors 1..4.
 
     Runs the element pipeline (pi/8 wave plate, first stage, polarizing
@@ -235,14 +216,11 @@ def bench_detector_fields(delta_f, tau1, tau2) -> dict[int, PhotonField]:
     labels of the returned fields still carry the arm tags, so per-arm
     coefficients can be read off directly.
     """
-    photon = hwp_transform(PhotonField.from_jones(1.0, 0.0), np.pi / 8)
+    photon = hwp_transform(from_jones(1.0, 0.0), np.pi / 8)
     port_a, port_b = nmzi_transfer(photon, delta_f, tau1)
-    rail_a1, rail_a2 = pbs_route(port_a, PhotonField.vacuum())
-    rail_b3, rail_b4 = pbs_route(port_b, PhotonField.vacuum())
-    rail_a1 = detune_phase(rail_a1, delta_f, tau2)
-    rail_a2 = detune_phase(rail_a2, delta_f, tau2)
-    rail_b3 = detune_phase(rail_b3, delta_f, tau2)
-    rail_b4 = detune_phase(rail_b4, delta_f, tau2)
+    rails = (*pbs_route(port_a, vacuum()), *pbs_route(port_b, vacuum()))
+    rail_a1, rail_a2, rail_b3, rail_b4 = (detune_phase(rail, delta_f, tau2)
+                                          for rail in rails)
     e1, e3 = bs_transform(rail_a1, rail_b3)
     e2, e4 = bs_transform(rail_a2, rail_b4)
     return {1: e1, 2: e2, 3: e3, 4: e4}
@@ -258,8 +236,6 @@ def detector_path_coefficients(
     Polarization is implied by the port: the H amplitude for detectors 1
     and 3, the V amplitude for detectors 2 and 4.
     """
-    fields = bench_detector_fields(delta_f, tau1, tau2)
-    rows = [fields[k].amps[:2] if k in (1, 3) else fields[k].amps[2:]
-            for k in (1, 2, 3, 4)]
-    up, down = np.swapaxes(rows, 0, 1)
+    e1, e2, e3, e4 = bench_detector_fields(delta_f, tau1, tau2).values()
+    up, down = np.swapaxes([e1[:2], e2[2:], e3[:2], e4[2:]], 0, 1)
     return {PathTag.U: up, PathTag.D: down}

@@ -48,15 +48,15 @@ class TestPortFields:
         fields = bench_detector_fields(1.3e6, 0.4e-6, 0.9e-6)
         for k in (1, 3):
             f = fields[k]
-            assert f.amps[2] == 0 and f.amps[3] == 0
+            assert f[2] == 0 and f[3] == 0
         for k in (2, 4):
             f = fields[k]
-            assert f.amps[0] == 0 and f.amps[1] == 0
+            assert f[0] == 0 and f[1] == 0
 
     def test_components_have_magnitude_half(self):
         fields = bench_detector_fields(2.4e6, 1.1e-6, 0.3e-6)
         for k in (1, 2, 3, 4):
-            mags = sorted(SQRT2 * abs(a) for a in fields[k].amps if a != 0)
+            mags = sorted(SQRT2 * abs(a) for a in fields[k] if a != 0)
             assert len(mags) == 2
             assert all(abs(m - 0.5) < 1e-12 for m in mags)
 

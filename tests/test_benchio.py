@@ -204,6 +204,24 @@ class TestParseErrors:
         assert "not an integer" in str(err)
         assert err.line == 6 and err.column == 11
 
+    @pytest.mark.parametrize("section, key, value", [
+        # each would run as a different integer through its double
+        ("run", "seed", "9.007199254740993e15"),
+        ("run", "seed", "1e30"),
+        ("source", "n_pairs", "9.223372036854775807e18"),
+        # an exponent too large for Decimal
+        ("source", "n_pairs", "0e99999999999999999999"),
+    ])
+    def test_inexact_float_form_int_positioned(self, section, key, value):
+        err = self.err(MINIMAL + f"[{section}]\n{key} = {value}\n")
+        assert f"'{value}' is not exactly a double" in str(err)
+        assert "in digits" in str(err)
+        assert (err.line, err.column) == (6, len(key) + 4)
+
+    def test_exact_float_form_int(self):
+        config, _ = parse_config(MINIMAL + "[source]\nn_pairs = 1e5\n")
+        assert config.n_pairs == 100_000
+
     def test_bad_bool(self):
         err = self.err(MINIMAL + "[run]\nheterodyne_filter = maybe\n")
         assert "true or false" in str(err)

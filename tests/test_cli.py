@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, formats, seeds, stream separation."""
 
 import csv
+import io
 import json
 import math
 import os
@@ -386,6 +387,32 @@ class TestErrors:
         target = tmp_path / "nodir" / "x.csv"
         assert main(["enumerate", "--out", str(target)]) == 2
         assert "x.csv" in capsys.readouterr().err
+
+
+    def test_empty_out_rejected_before_running(self, tmp_path, monkeypatch,
+                                              capsys):
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        with pytest.raises(SystemExit) as err:
+            main(["validate", "--quiet", "--out", ""])
+        assert err.value.code == 2
+        assert "argument --out: must name a file" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["work"] and os.listdir(work) == []
+
+
+@pytest.mark.parametrize("failing", ["write", "flush"])
+@pytest.mark.parametrize("command", ["enumerate", "validate"])
+def test_failed_stdout_write_exits_2(failing, command, monkeypatch, capsys):
+    def disk_full(*args):
+        raise OSError(28, "No space left on device")
+
+    stdout = io.StringIO()
+    monkeypatch.setattr(stdout, failing, disk_full)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main([command, "--quiet"]) == 2
+    assert capsys.readouterr().err == (
+        "error: <stdout>: [Errno 28] No space left on device\n")
 
 
 class TestAtomicOut:
