@@ -20,6 +20,7 @@ formats; an undefined value (NaN, such as the g2 of a dead detector) is
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import decimal
 import io
@@ -165,15 +166,12 @@ def _as_int(tok: _Token) -> int:
                                tok.line, tok.column)
     # a float form counts only when its double is the number written;
     # Decimal compares exactly and rejects an exponent too large for it
-    try:
-        exact = decimal.Decimal(tok.text) == decimal.Decimal(as_float)
-    except decimal.InvalidOperation:
-        exact = False
-    if not exact:
-        raise ConfigParseError(f"'{tok.text}' is not exactly a double; "
-                               "write the integer in digits",
-                               tok.line, tok.column)
-    return int(as_float)
+    with contextlib.suppress(decimal.InvalidOperation):
+        if decimal.Decimal(tok.text) == decimal.Decimal(as_float):
+            return int(as_float)
+    raise ConfigParseError(f"'{tok.text}' is not exactly a double; "
+                           "write the integer in digits",
+                           tok.line, tok.column)
 
 
 def _as_bool(tok: _Token) -> bool:

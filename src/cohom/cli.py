@@ -47,14 +47,17 @@ def _emit(text: str, out_path) -> None:
     replaces the target, so a failed write leaves an existing target
     untouched and removes the temporary file.  A device or a pipe (such
     as /dev/stdout) cannot be renamed over and is written directly.  A
-    failed write raises BenchIOError naming its target (stdout is flushed
-    here, so that its failure shows here too).
+    failed write, or flush of stdout, raises BenchIOError naming its target.
     """
     if out_path is None:
         try:
             sys.stdout.write(text)
             sys.stdout.flush()
         except OSError as exc:
+            # drop the buffered data, or the exit flush retries it (exit 120)
+            with contextlib.suppress(OSError, ValueError):  # no descriptor
+                fd = sys.stdout.fileno()
+                os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
             raise BenchIOError(f"<stdout>: {exc}") from exc
         return
     atomic = os.path.isfile(out_path) or not os.path.exists(out_path)

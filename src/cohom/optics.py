@@ -106,8 +106,7 @@ def hwp_transform(field, theta) -> np.ndarray:
     transform is its own inverse at any angle.
     """
     modes, theta = _split([field], theta)
-    c = np.cos(2.0 * theta)
-    s = np.sin(2.0 * theta)
+    c, s = np.cos(2.0 * theta), np.sin(2.0 * theta)
     h, v = modes[:2], modes[2:]
     return np.concatenate((c * h + s * v, s * h - c * v))
 

@@ -415,6 +415,31 @@ def test_failed_stdout_write_exits_2(failing, command, monkeypatch, capsys):
         "error: <stdout>: [Errno 28] No space left on device\n")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("target", ["full", "broken-pipe"])
+def test_failed_stdout_write_exits_2_at_interpreter_exit(target):
+    # a block-buffered stdout keeps the unwritten data, which the
+    # interpreter flushes again at exit; that must not turn 2 into 120
+    env = _package_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if target == "full":
+        stdout = os.open("/dev/full", os.O_WRONLY)
+        expected = "[Errno 28] No space left on device"
+    else:
+        reader, stdout = os.pipe()
+        os.close(reader)
+        expected = "[Errno 32] Broken pipe"
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cohom.cli", "enumerate", "--quiet"],
+            stdout=stdout, stderr=subprocess.PIPE, env=env, text=True,
+            timeout=60)
+    finally:
+        os.close(stdout)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: <stdout>: {expected}\n"
+
+
 class TestAtomicOut:
     def test_failed_replace_keeps_target(self, point_cfg, tmp_path, capsys,
                                          monkeypatch):
