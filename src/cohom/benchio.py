@@ -69,9 +69,18 @@ class ScanSpec:
 
 @dataclass(frozen=True)
 class _Token:
+    """A value's text, and its line and column in the config file or the
+    name of its source outside the file."""
+
     text: str
-    line: int
-    column: int
+    line: Optional[int] = None
+    column: Optional[int] = None
+    source: str = ""
+
+    def error(self, message: str) -> ConfigParseError:
+        """This value's rejection, at its position or under its source."""
+        prefix = f"{self.source}: " if self.source else ""
+        return ConfigParseError(prefix + message, self.line, self.column)
 
 
 #: the characters besides "\n" that str.splitlines breaks lines at; a
@@ -105,35 +114,30 @@ def _tokenize(text: str) -> dict:
         stripped = raw.strip()
         if not stripped or stripped.startswith(("#", ";")):
             continue
-        first_col = raw.index(stripped[0]) + 1
+        line = _Token(stripped, lineno, raw.index(stripped[0]) + 1)
         if stripped.startswith("["):
             if not stripped.endswith("]"):
-                raise ConfigParseError("unterminated section header",
-                                       lineno, first_col)
+                raise line.error("unterminated section header")
             name = stripped[1:-1].strip()
             if name not in _SCHEMA:
-                raise ConfigParseError(f"unknown section [{name}]",
-                                       lineno, first_col)
+                raise line.error(f"unknown section [{name}]")
             if name in sections:
-                raise ConfigParseError(f"duplicate section [{name}]",
-                                       lineno, first_col)
+                raise line.error(f"duplicate section [{name}]")
             sections[name] = {}
             current = name
             continue
         if "=" not in stripped:
-            raise ConfigParseError("expected 'key = value'", lineno, first_col)
+            raise line.error("expected 'key = value'")
         if current is None:
-            raise ConfigParseError("key outside any [section]",
-                                   lineno, first_col)
+            raise line.error("key outside any [section]")
         key_part, _, value_part = raw.partition("=")
         key = key_part.strip()
         if not key:
-            raise ConfigParseError("missing key before '='", lineno, first_col)
+            raise line.error("missing key before '='")
         if key not in _SCHEMA[current]:
-            raise ConfigParseError(f"unknown key '{key}' in [{current}]",
-                                   lineno, first_col)
+            raise line.error(f"unknown key '{key}' in [{current}]")
         if key in sections[current]:
-            raise ConfigParseError(f"duplicate key '{key}'", lineno, first_col)
+            raise line.error(f"duplicate key '{key}'")
         value = value_part.strip()
         eq_col = len(key_part) + 1
         value_col = (eq_col + 1 + (len(value_part) - len(value_part.lstrip()))
@@ -148,38 +152,34 @@ def _as_float(tok: _Token) -> float:
     try:
         return float(tok.text)
     except ValueError:
-        raise ConfigParseError(f"not a number: '{tok.text}'",
-                               tok.line, tok.column) from None
+        raise tok.error(f"not a number: '{tok.text}'") from None
 
 
 def _as_int(tok: _Token) -> int:
-    try:
-        return int(tok.text, 0)
-    except ValueError:
-        pass
+    """Every integer from outside the program: a Python integer literal,
+    decimal digits, or a float form whose double is the integer written."""
+    for base in (0, 10):  # base 0 refuses leading zeros, base 10 a prefix
+        with contextlib.suppress(ValueError):
+            return int(tok.text, base)
     try:
         as_float = float(tok.text)
     except ValueError:
         as_float = math.nan
     if not (math.isfinite(as_float) and as_float.is_integer()):
-        raise ConfigParseError(f"not an integer: '{tok.text}'",
-                               tok.line, tok.column)
-    # a float form counts only when its double is the number written;
+        raise tok.error(f"not an integer: {tok.text!r}")
     # Decimal compares exactly and rejects an exponent too large for it
     with contextlib.suppress(decimal.InvalidOperation):
         if decimal.Decimal(tok.text) == decimal.Decimal(as_float):
             return int(as_float)
-    raise ConfigParseError(f"'{tok.text}' is not exactly a double; "
-                           "write the integer in digits",
-                           tok.line, tok.column)
+    raise tok.error(f"{tok.text!r} is not exactly a double; "
+                    "write the integer in digits")
 
 
 def _as_bool(tok: _Token) -> bool:
     lowered = tok.text.lower()
     if lowered in ("true", "false"):
         return lowered == "true"
-    raise ConfigParseError(f"expected true or false, got '{tok.text}'",
-                           tok.line, tok.column)
+    raise tok.error(f"expected true or false, got '{tok.text}'")
 
 
 def _as_text(tok: _Token) -> str:
@@ -226,8 +226,8 @@ def _read_delay(bench: dict, tau1: float) -> tuple:
     scan_toks = [bench.get(k) for k in _SCAN_KEYS]
     if tau2_tok is not None and any(scan_toks):
         offender = next(t for t in scan_toks if t is not None)
-        raise ConfigParseError("tau21 scan keys are mutually exclusive "
-                               "with tau2_s", offender.line, offender.column)
+        raise offender.error("tau21 scan keys are mutually exclusive "
+                             "with tau2_s")
     if tau2_tok is not None:
         return _as_float(tau2_tok), None
     missing = [k for k, t in zip(_SCAN_KEYS, scan_toks) if t is None]
@@ -239,20 +239,15 @@ def _read_delay(bench: dict, tau1: float) -> tuple:
     stop = _as_float(scan_toks[1])
     for key, tok, bound in zip(_SCAN_KEYS, scan_toks, (start, stop)):
         if not math.isfinite(bound):
-            raise ConfigParseError(f"{key}: must be finite",
-                                   tok.line, tok.column)
+            raise tok.error(f"{key}: must be finite")
         if tau1 + bound < 0:
-            raise ConfigParseError(
-                "scan would make tau2 = tau1 + tau21 negative",
-                tok.line, tok.column)
+            raise tok.error("scan would make tau2 = tau1 + tau21 negative")
     steps_tok = scan_toks[2]
     steps = _as_int(steps_tok)
     if steps < 1:
-        raise ConfigParseError("scan steps must be >= 1",
-                               steps_tok.line, steps_tok.column)
+        raise steps_tok.error("scan steps must be >= 1")
     if steps > _MAX_SCAN_STEPS:
-        raise ConfigParseError(f"scan steps must be <= {_MAX_SCAN_STEPS}",
-                               steps_tok.line, steps_tok.column)
+        raise steps_tok.error(f"scan steps must be <= {_MAX_SCAN_STEPS}")
     return tau1 + start, ScanSpec(start, stop, steps)
 
 
@@ -282,10 +277,10 @@ def parse_config(text: str):
         config = RunConfig(**values)
     except ConfigError as err:
         key = next(k for k, spec in _KEYS.items() if spec[1] == err.field)
-        tok = sections.get(_KEYS[key][0], {}).get(key)
-        line, column = (tok.line, tok.column) if tok else (None, None)
+        # a key the file omits has no position
+        tok = sections.get(_KEYS[key][0], {}).get(key, _Token(""))
         detail = f"{key}: " + str(err).removeprefix(f"{err.field}: ")
-        raise ConfigParseError(detail, line, column) from None
+        raise tok.error(detail) from None
     return config, scan
 
 
@@ -340,25 +335,22 @@ def read_config(path) -> tuple:
     return parse_config(text)
 
 
-def resolve_seed(cli_seed: Optional[int], environ, file_seed: int) -> int:
+def resolve_seed(cli_seed: Optional[str], environ, file_seed: int) -> int:
     """Apply the seed precedence: CLI flag > COHOM_SEED env var > config.
 
-    A negative flag or variable is rejected under its own name; the file's
-    seed is range-checked, with its position, by ``parse_config``.
+    The flag's and the variable's text are read as the file's integers
+    are; a malformed or negative one is rejected under its own name.  The
+    file's seed is range-checked, with its position, by ``parse_config``.
     """
-    if cli_seed is not None:
-        source, seed = "--seed", int(cli_seed)
-    elif (raw := environ.get(ENV_SEED)) is not None:
-        try:
-            source, seed = ENV_SEED, int(raw, 0)
-        except ValueError:
-            raise ConfigParseError(
-                f"{ENV_SEED}: not an integer: {raw!r}") from None
-    else:
-        return file_seed
-    if seed < 0:
-        raise ConfigParseError(f"{source}: must be a non-negative integer")
-    return seed
+    for source, text in (("--seed", cli_seed),
+                         (ENV_SEED, environ.get(ENV_SEED))):
+        if text is not None:
+            tok = _Token(text, source=source)
+            seed = _as_int(tok)
+            if seed < 0:
+                raise tok.error("must be a non-negative integer")
+            return seed
+    return file_seed
 
 
 # --------------------------------------------------------------------------
@@ -415,24 +407,18 @@ def _json_float(value: float) -> Optional[float]:
 
 def analytic_rows(config: RunConfig, tau21_values) -> list:
     """Closed-form table rows: ensemble intensities and the exact
-    coincidence rates (identically zero, hence zero counts and errors)."""
-    rows = []
-    for value in tau21_values:
-        tau21 = float(value)
-        tau2 = config.tau1 + tau21
-        if tau2 < 0:
-            raise ConfigError("tau2", "scan point yields negative tau2")
-        i_k = [ensemble_intensity(k, config.sigma_f, config.tau1, tau2)
-               for k in (1, 2, 3, 4)]
-        rows.append(ResultRow(
-            tau21_s=tau21,
-            i1=i_k[0], i2=i_k[1], i3=i_k[2], i4=i_k[3],
-            r13=float(coincidence_r13(config.sigma_f, config.tau1, tau2)),
-            r24=float(coincidence_r24(config.sigma_f, config.tau1, tau2)),
-            g2_13=0.0, g2_13_err=0.0, g2_24=0.0, g2_24_err=0.0,
-            n_coinc_13=0, n_coinc_24=0,
-        ))
-    return rows
+    coincidence rates (identically zero, hence zero counts and errors),
+    each column computed in one call over the whole scan."""
+    tau21 = np.asarray(tau21_values, dtype=float)
+    tau2 = config.tau1 + tau21
+    if np.any(tau2 < 0):
+        raise ConfigError("tau2", "scan point yields negative tau2")
+    bench = (config.sigma_f, config.tau1, tau2)
+    columns = (tau21, *(ensemble_intensity(k, *bench) for k in (1, 2, 3, 4)),
+               coincidence_r13(*bench), coincidence_r24(*bench))
+    # g2_13, g2_13_err, g2_24, g2_24_err, n_coinc_13, n_coinc_24
+    return [ResultRow(*row, 0.0, 0.0, 0.0, 0.0, 0, 0)
+            for row in zip(*(column.tolist() for column in columns))]
 
 
 def simulation_rows(points) -> list:

@@ -10,7 +10,8 @@ Subcommands:
 
 Data goes to stdout (or ``--out``); progress goes to stderr and is silenced
 by ``--quiet``.  Exit codes: 0 success, 1 validation failure, 2 usage or
-configuration error, or a failed write of the data.
+configuration error, or a failed write of the data.  Every exit-2 error
+is one ``error: …`` line on stderr.
 """
 
 from __future__ import annotations
@@ -77,11 +78,19 @@ def _emit(text: str, out_path) -> None:
                 os.remove(written)
 
 
-def _out_path(text: str) -> str:
-    """``--out``'s argument; an empty path names no file."""
+def _path(text: str) -> str:
+    """A file argument; an empty path names no file."""
     if not text:
         raise argparse.ArgumentTypeError("must name a file, not ''")
     return text
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error, which ``main`` prints as its one error line;
+    argparse builds the subcommands' parsers of this class too."""
+
+    def error(self, message):
+        raise ConfigParseError(message)
 
 
 def _progress(args):
@@ -200,21 +209,19 @@ def cmd_validate(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cohom",
-        description="Heterodyne two-photon interference bench",
-    )
+    parser = _Parser(prog="cohom",
+                     description="Heterodyne two-photon interference bench")
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     def add(name, handler, help_text, *, config=False, seed=False):
         sub = subparsers.add_parser(name, help=help_text)
         if config:
-            sub.add_argument("--config", required=True,
+            sub.add_argument("--config", type=_path, required=True,
                              help="path to the bench config file")
         if seed:
-            sub.add_argument("--seed", type=int, default=None,
+            sub.add_argument("--seed", default=None,
                              help="override the run seed (beats COHOM_SEED)")
-        sub.add_argument("--out", type=_out_path, default=None,
+        sub.add_argument("--out", type=_path, default=None,
                          help="write output to this file instead of stdout")
         sub.add_argument("--format", choices=("csv", "json"), default="csv",
                          help="output format (default csv)")
@@ -237,9 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
     except (ConfigParseError, ConfigError, BenchIOError) as exc:
         print(f"error: {exc}", file=sys.stderr)

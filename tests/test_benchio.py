@@ -28,6 +28,7 @@ from cohom.benchio import (
     resolve_seed,
     simulation_rows,
 )
+from cohom.cli import build_parser
 from cohom.montecarlo import (
     ConfigError,
     RunConfig,
@@ -221,6 +222,14 @@ class TestParseErrors:
     def test_exact_float_form_int(self):
         config, _ = parse_config(MINIMAL + "[source]\nn_pairs = 1e5\n")
         assert config.n_pairs == 100_000
+
+    @pytest.mark.parametrize("section, key", [("run", "seed"),
+                                              ("source", "n_pairs")])
+    def test_leading_zero_digits_read_exactly(self, section, key):
+        # past 2**53, where its double would not be the integer written
+        config, _ = parse_config(
+            MINIMAL + f"[{section}]\n{key} = 09007199254740993\n")
+        assert getattr(config, key) == 9007199254740993
 
     def test_bad_bool(self):
         err = self.err(MINIMAL + "[run]\nheterodyne_filter = maybe\n")
@@ -452,7 +461,7 @@ class TestStrayLineBreaks:
 
 class TestSeedPrecedence:
     def test_cli_wins(self):
-        assert resolve_seed(9, {"COHOM_SEED": "5"}, 1) == 9
+        assert resolve_seed("9", {"COHOM_SEED": "5"}, 1) == 9
 
     def test_env_beats_file(self):
         assert resolve_seed(None, {"COHOM_SEED": "5"}, 1) == 5
@@ -470,6 +479,47 @@ class TestSeedPrecedence:
         with pytest.raises(ConfigParseError) as err:
             resolve_seed(None, {"COHOM_SEED": "5\x01"}, 1)
         assert str(err.value) == r"COHOM_SEED: not an integer: '5\x01'"
+
+
+#: integer texts: literals of each base, leading zeros, float forms
+#: exact and inexact, negatives, and text that is no integer at all
+_INTEGER_TEXTS = st.one_of(
+    st.sampled_from(["0x10", "010", "1_0", "1e3", "-1e3", "0x", "0b101",
+                     "0o17", "-0", "+7", "09007199254740993",
+                     "9.007199254740993e15", "1e30", "1e-400", "2.5", "nan",
+                     "inf", "0e99999999999999999999", "1__0", "_1"]),
+    st.integers(-2**70, 2**70).map(str),
+    st.floats().map(repr),
+    st.text("0123456789+-._eExXoObBaf", min_size=1, max_size=12),
+)
+
+
+def _seed_or_rejection(read, source: str):
+    """The seed ``read`` returns, or its error message without the name
+    or position of its source, and without the file's key."""
+    try:
+        return read()
+    except ConfigParseError as err:
+        return str(err).removeprefix(f"{source}: ").removeprefix("seed: ")
+
+
+class TestOneIntegerGrammar:
+    @given(_INTEGER_TEXTS)
+    @settings(max_examples=300, deadline=None)
+    def test_file_variable_and_flag_agree(self, text):
+        def from_file():
+            config, _ = parse_config(MINIMAL + f"[run]\nseed = {text}\n")
+            return config.seed
+
+        def from_flag():
+            args = build_parser().parse_args(
+                ["simulate", "--config", "x.cfg", f"--seed={text}"])
+            return resolve_seed(args.seed, {}, 0)
+
+        outcome = _seed_or_rejection(from_file, "line 6, column 8")
+        assert outcome == _seed_or_rejection(
+            lambda: resolve_seed(None, {"COHOM_SEED": text}, 0), "COHOM_SEED")
+        assert outcome == _seed_or_rejection(from_flag, "--seed")
 
 
 def small_run(**overrides):

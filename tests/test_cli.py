@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, formats, seeds, stream separation."""
 
+import contextlib
 import csv
 import io
 import json
@@ -14,8 +15,9 @@ from pathlib import Path
 import pytest
 
 import cohom
+from cohom import cli
 from cohom.analytic import pair_chart
-from cohom.cli import _emit, main
+from cohom.cli import _emit
 from cohom.validation import check_outcome_table
 
 POINT_CFG = """\
@@ -45,6 +47,30 @@ n_pairs = 10000
 [run]
 seed = 7
 """
+
+
+class _Tee(io.StringIO):
+    """Keeps what is written, and passes it on to ``target``."""
+
+    def __init__(self, target):
+        super().__init__()
+        self.target = target
+
+    def write(self, text):
+        self.target.write(text)
+        return super().write(text)
+
+
+def main(argv) -> int:
+    """``cohom.cli.main``, checking that an exit 2 writes exactly one
+    stderr line, and that it begins ``error:``."""
+    stderr = _Tee(sys.stderr)
+    with contextlib.redirect_stderr(stderr):
+        code = cli.main(argv)
+    if code == 2:
+        lines = stderr.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    return code
 
 
 def _package_env() -> dict:
@@ -183,9 +209,9 @@ class TestAnalytic:
         assert "tau21_scan_" in capsys.readouterr().err
 
     def test_takes_no_seed(self, scan_cfg, capsys):
-        with pytest.raises(SystemExit) as err:
-            main(["analytic", "--config", scan_cfg, "--seed", "3"])
-        assert err.value.code == 2
+        assert main(["analytic", "--config", scan_cfg, "--seed", "3"]) == 2
+        assert capsys.readouterr().err == (
+            "error: unrecognized arguments: --seed 3\n")
 
 
 class TestSimulateAndScan:
@@ -268,6 +294,25 @@ class TestSeedPrecedence:
         assert main(["simulate", "--config", point_cfg, "--quiet"]) == 2
         assert capsys.readouterr().err == (
             "error: COHOM_SEED: not an integer: '5\\x01'\n")
+
+    @pytest.mark.parametrize("text, seed", [
+        ("0x10", 16), ("010", 10), ("1_0", 10), ("1e3", 1000),
+        ("09007199254740993", 9007199254740993)])
+    def test_one_integer_grammar(self, point_cfg, tmp_path, capsys,
+                                 monkeypatch, text, seed):
+        path = tmp_path / "seeded.cfg"
+        path.write_text(POINT_CFG.replace("seed = 42", f"seed = {text}"))
+        assert self.run_seed(str(path), capsys) == seed
+        assert self.run_seed(point_cfg, capsys, (f"--seed={text}",)) == seed
+        monkeypatch.setenv("COHOM_SEED", text)
+        assert self.run_seed(point_cfg, capsys) == seed
+
+    def test_bad_flag_seed(self, point_cfg, capsys):
+        code = main(["simulate", "--config", point_cfg, "--quiet",
+                     "--seed", "0x"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: --seed: not an integer: '0x'\n")
 
     def test_negative_flag_seed(self, point_cfg, capsys):
         code = main(["simulate", "--config", point_cfg, "--quiet",
@@ -378,10 +423,30 @@ class TestErrors:
         assert capsys.readouterr().err == (
             "error: line 3, column 14: not UTF-8: byte 0xff\n")
 
-    def test_usage_error_exit_2(self):
+    @pytest.mark.parametrize("argv, message", [
+        (["enumerate", "--format", "xml"],
+         "argument --format: invalid choice: 'xml'"),
+        (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+        ([], "the following arguments are required: command"),
+        (["simulate"], "the following arguments are required: --config"),
+        (["chart", "--seed", "3"], "unrecognized arguments: --seed 3"),
+    ])
+    def test_usage_error_exit_2(self, capsys, argv, message):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize("argv", [["-h"], ["simulate", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
         with pytest.raises(SystemExit) as err:
-            main(["enumerate", "--format", "xml"])
-        assert err.value.code == 2
+            main(argv)
+        assert err.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: cohom")
+
+    def test_empty_config_rejected(self, capsys):
+        assert main(["simulate", "--config", "", "--quiet"]) == 2
+        assert capsys.readouterr().err == (
+            "error: argument --config: must name a file, not ''\n")
 
     def test_unwritable_out(self, capsys, tmp_path):
         target = tmp_path / "nodir" / "x.csv"
@@ -394,10 +459,9 @@ class TestErrors:
         work = tmp_path / "work"
         work.mkdir()
         monkeypatch.chdir(work)
-        with pytest.raises(SystemExit) as err:
-            main(["validate", "--quiet", "--out", ""])
-        assert err.value.code == 2
-        assert "argument --out: must name a file" in capsys.readouterr().err
+        assert main(["validate", "--quiet", "--out", ""]) == 2
+        assert capsys.readouterr().err == (
+            "error: argument --out: must name a file, not ''\n")
         assert os.listdir(tmp_path) == ["work"] and os.listdir(work) == []
 
 
