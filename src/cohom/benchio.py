@@ -28,7 +28,7 @@ import json
 import math
 import platform
 import re
-from dataclasses import MISSING, astuple, dataclass, fields as dataclass_fields
+from dataclasses import MISSING, astuple, dataclass, fields, replace
 from typing import Optional, get_type_hints
 
 import numpy as np
@@ -149,22 +149,22 @@ def _tokenize(text: str) -> dict:
 
 
 def _as_float(tok: _Token) -> float:
-    try:
-        return float(tok.text)
-    except ValueError:
-        raise tok.error(f"not a number: '{tok.text}'") from None
+    if tok.text.isascii():  # float() also reads other scripts' digits
+        with contextlib.suppress(ValueError):
+            return float(tok.text)
+    raise tok.error(f"not a number: '{tok.text}'")
 
 
 def _as_int(tok: _Token) -> int:
     """Every integer from outside the program: a Python integer literal,
-    decimal digits, or a float form whose double is the integer written."""
-    for base in (0, 10):  # base 0 refuses leading zeros, base 10 a prefix
+    ASCII digits, or a float form whose double is the integer written."""
+    as_float = math.nan
+    if tok.text.isascii():  # int() also reads other scripts' digits
+        for base in (0, 10):  # base 0 refuses leading zeros, base 10 a prefix
+            with contextlib.suppress(ValueError):
+                return int(tok.text, base)
         with contextlib.suppress(ValueError):
-            return int(tok.text, base)
-    try:
-        as_float = float(tok.text)
-    except ValueError:
-        as_float = math.nan
+            as_float = float(tok.text)
     if not (math.isfinite(as_float) and as_float.is_integer()):
         raise tok.error(f"not an integer: {tok.text!r}")
     # Decimal compares exactly and rejects an exponent too large for it
@@ -216,12 +216,11 @@ _SCHEMA = {
     for section, _, _ in _KEYS.values()
 }
 
-_REQUIRED = {f.name for f in dataclass_fields(RunConfig)
-             if f.default is MISSING}
+_REQUIRED = {f.name for f in fields(RunConfig) if f.default is MISSING}
 
 
 def _read_delay(bench: dict, tau1: float) -> tuple:
-    """``(tau2, ScanSpec or None)`` from ``tau2_s`` or the scan trio."""
+    """``(ends, ScanSpec or None)``: each end a tau2, its name and token."""
     tau2_tok = bench.get("tau2_s")
     scan_toks = [bench.get(k) for k in _SCAN_KEYS]
     if tau2_tok is not None and any(scan_toks):
@@ -229,26 +228,33 @@ def _read_delay(bench: dict, tau1: float) -> tuple:
         raise offender.error("tau21 scan keys are mutually exclusive "
                              "with tau2_s")
     if tau2_tok is not None:
-        return _as_float(tau2_tok), None
+        return [(_as_float(tau2_tok), "tau2_s", tau2_tok)], None
     missing = [k for k, t in zip(_SCAN_KEYS, scan_toks) if t is None]
     if missing:
         raise ConfigParseError(
             "either tau2_s or the full scan trio is required; missing: "
             + ", ".join(missing))
-    start = _as_float(scan_toks[0])
-    stop = _as_float(scan_toks[1])
-    for key, tok, bound in zip(_SCAN_KEYS, scan_toks, (start, stop)):
-        if not math.isfinite(bound):
-            raise tok.error(f"{key}: must be finite")
-        if tau1 + bound < 0:
-            raise tok.error("scan would make tau2 = tau1 + tau21 negative")
+    start, stop = map(_as_float, scan_toks[:2])
     steps_tok = scan_toks[2]
     steps = _as_int(steps_tok)
     if steps < 1:
         raise steps_tok.error("scan steps must be >= 1")
     if steps > _MAX_SCAN_STEPS:
         raise steps_tok.error(f"scan steps must be <= {_MAX_SCAN_STEPS}")
-    return tau1 + start, ScanSpec(start, stop, steps)
+    ends = [(tau1 + bound, f"tau2 = tau1_s + {key}", tok)
+            for key, tok, bound in zip(_SCAN_KEYS, scan_toks, (start, stop))]
+    return ends, ScanSpec(start, stop, steps)
+
+
+@contextlib.contextmanager
+def _rejected_at(where: dict):
+    """Re-raise a RunConfig rejection by ``where[field]``'s token."""
+    try:
+        yield
+    except ConfigError as err:
+        name, tok = where[err.field]
+        detail = str(err).removeprefix(f"{err.field}: ")
+        raise tok.error(f"{name}: {detail}" if name else detail) from None
 
 
 def parse_config(text: str):
@@ -256,32 +262,30 @@ def parse_config(text: str):
 
     Returns ``(RunConfig, ScanSpec or None)``.  ``tau2_s`` and the
     ``tau21_scan_*`` trio are mutually exclusive; with a scan, the
-    returned config holds the first scan point's tau2.  Missing optional
-    keys take RunConfig's defaults.
+    returned config holds the first point's tau2, and both ends' tau2,
+    which bound every point's, are checked.  Missing optional keys take
+    RunConfig's defaults.
     """
     sections = _tokenize(text)
     values = {}
-    scan = None
+    where = {}
     for key, (section, field, read) in _KEYS.items():
         tok = sections.get(section, {}).get(key)
+        # a key the file omits has no position
+        where[field] = (key, tok or _Token(""))
         if key == "tau2_s":
-            values[field], scan = _read_delay(sections.get(section, {}),
-                                              values["tau1"])
+            ends, scan = _read_delay(sections.get(section, {}), values["tau1"])
         elif tok is not None:
             values[field] = read(tok)
         elif field in _REQUIRED:
             raise ConfigParseError(
                 f"missing required key '{key}' in [{section}]")
     values["sigma_f"] *= 2.0 * math.pi  # the file gives Hz, the engine rad/s
-    try:
-        config = RunConfig(**values)
-    except ConfigError as err:
-        key = next(k for k, spec in _KEYS.items() if spec[1] == err.field)
-        # a key the file omits has no position
-        tok = sections.get(_KEYS[key][0], {}).get(key, _Token(""))
-        detail = f"{key}: " + str(err).removeprefix(f"{err.field}: ")
-        raise tok.error(detail) from None
-    return config, scan
+    configs = []
+    for tau2, name, tok in ends:
+        with _rejected_at(where | {"tau2": (name, tok)}):
+            configs.append(RunConfig(**values, tau2=tau2))
+    return configs[0], scan
 
 
 def render_config(config: RunConfig, scan: Optional[ScanSpec] = None) -> str:
@@ -335,22 +339,19 @@ def read_config(path) -> tuple:
     return parse_config(text)
 
 
-def resolve_seed(cli_seed: Optional[str], environ, file_seed: int) -> int:
-    """Apply the seed precedence: CLI flag > COHOM_SEED env var > config.
+def resolve_seed(config, cli_seed: Optional[str], environ) -> RunConfig:
+    """``config`` with the seed of the precedence --seed > COHOM_SEED > file.
 
     The flag's and the variable's text are read as the file's integers
-    are; a malformed or negative one is rejected under its own name.  The
-    file's seed is range-checked, with its position, by ``parse_config``.
+    are; a malformed or out-of-range one is rejected under its own name.
     """
     for source, text in (("--seed", cli_seed),
                          (ENV_SEED, environ.get(ENV_SEED))):
         if text is not None:
             tok = _Token(text, source=source)
-            seed = _as_int(tok)
-            if seed < 0:
-                raise tok.error("must be a non-negative integer")
-            return seed
-    return file_seed
+            with _rejected_at({"seed": ("", tok)}):
+                return replace(config, seed=_as_int(tok))
+    return config
 
 
 # --------------------------------------------------------------------------
@@ -457,8 +458,7 @@ def simulation_rows(points) -> list:
 
 def make_manifest(command: str, config: RunConfig,
                   scan: Optional[ScanSpec], wall_clock_s: float) -> dict:
-    config_echo = {f.name: getattr(config, f.name)
-                   for f in dataclass_fields(RunConfig)}
+    config_echo = {f.name: getattr(config, f.name) for f in fields(RunConfig)}
     return {
         "tool": "cohom",
         "version": __version__,

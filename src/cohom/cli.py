@@ -22,7 +22,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict, replace  # perfbench's doctored cli uses it
 
 from .analytic import enumerate_combinations, pair_chart
 from .benchio import (
@@ -147,8 +147,7 @@ def render_report(results, fmt: str) -> str:
 def _load_config(args):
     config, scan = read_config(args.config)
     if "seed" in args:
-        config = replace(config, seed=resolve_seed(args.seed, os.environ,
-                                                   config.seed))
+        config = resolve_seed(config, args.seed, os.environ)
     if args.command != "simulate" and scan is None:
         raise ConfigParseError(
             "this command scans tau21; the config must set the "

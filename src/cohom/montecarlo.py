@@ -272,8 +272,14 @@ def click_pattern_table(config) -> np.ndarray:
     arithmetic (a dark port at theta = 0, a miss at mu = 1) is exactly
     0.0.
     """
-    cos_means = np.append(1.0, fringe_visibility(
-        np.arange(1.0, 5.0) * config.sigma_f, config.tau1, config.tau2))
+    m = np.arange(1.0, 5.0)
+    with np.errstate(over="ignore"):
+        # the envelope needs only the phase m sigma_f (tau1 + tau2): where
+        # m sigma_f overflows, m scales the delays instead
+        scale = np.where(np.isinf(m * config.sigma_f), m, 1.0)
+        cos_means = np.append(1.0, fringe_visibility(
+            m / scale * config.sigma_f, scale * config.tau1,
+            scale * config.tau2))
     # cancellation can leave a vanishing moment a rounding error below 0
     moments = np.maximum(_FRINGE_POWERS @ cos_means, 0.0)
     click = config.mean_photon_number * _CLICK_FORMS
@@ -289,7 +295,9 @@ def click_pattern_table(config) -> np.ndarray:
         low, high = forms[:, k, :1], forms[:, k, 1:]
         poly[:, 1:] = poly[:, 1:] * low + poly[:, :-1] * high
         poly[:, :1] *= low
-    return np.array([row @ moments for row in poly])
+    # a probability that is 1 in exact arithmetic (no click at a
+    # vanishing mu) can round an ulp above it
+    return np.minimum([row @ moments for row in poly], 1.0)
 
 
 def detector_convolve(true_time, rng, pulse_sigma) -> np.ndarray:
@@ -381,10 +389,14 @@ def _jittered_block(config, rng, fired, size) -> CountsAccumulator:
     stamps = detector_convolve(np.zeros((size, len(fired))), rng,
                                config.pulse_sigma)
     kept = np.zeros(size, dtype=bool)
-    for (a, i), (b, j) in itertools.combinations(enumerate(fired), 2):
-        sel = np.abs(stamps[:, a] - stamps[:, b]) <= config.coincidence_window
-        block.coincidences[(i, j)] = int(np.count_nonzero(sel))
-        kept |= sel
+    # a stamp difference that overflows (inf, or inf - inf = NaN) is
+    # outside the window
+    with np.errstate(over="ignore", invalid="ignore"):
+        for (a, i), (b, j) in itertools.combinations(enumerate(fired), 2):
+            sel = (np.abs(stamps[:, a] - stamps[:, b])
+                   <= config.coincidence_window)
+            block.coincidences[(i, j)] = int(np.count_nonzero(sel))
+            kept |= sel
     block.n_postselected = int(np.count_nonzero(kept))
     return block
 

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import pytest
 from hypothesis import assume, given, settings
@@ -286,7 +287,9 @@ class TestParseErrors:
             "tau21_scan_start_s = -5e-6\ntau21_scan_stop_s = 0\n"
             "tau21_scan_steps = 3",
         )
-        assert "negative" in str(self.err(text))
+        err = self.err(text)
+        assert str(err) == ("line 4, column 22: tau2 = tau1_s + "
+                            "tau21_scan_start_s: must be finite and >= 0")
 
     @pytest.mark.parametrize("key, line, column", [
         ("tau21_scan_start_s", 4, 22), ("tau21_scan_stop_s", 5, 21)])
@@ -302,6 +305,21 @@ class TestParseErrors:
         assert f"{key}: must be finite" in str(err)
         assert (err.line, err.column) == (line, column)
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("tau1_s", "\u0663e-6", "not a number: '\u0663e-6'"),
+        ("tau2_s", "\uff12e-6", "not a number: '\uff12e-6'"),
+        ("n_pairs", "\uff11\uff10", "not an integer: '\uff11\uff10'"),
+        ("seed", "\u0663", "not an integer: '\u0663'"),
+    ])
+    def test_non_ascii_digits_positioned(self, key, value, message):
+        # float() and int() read the decimal digits of every script
+        text = MINIMAL + "[source]\nn_pairs = 10\n[run]\nseed = 3\n"
+        text = re.sub(f"^{key} = .*$", f"{key} = {value}", text,
+                      flags=re.MULTILINE)
+        err = self.err(text)
+        line = text.split("\n").index(f"{key} = {value}") + 1
+        assert str(err) == f"line {line}, column {len(key) + 4}: {message}"
+
     def test_scan_negative_tau2_at_stop(self):
         text = MINIMAL.replace(
             "tau2_s = 2e-6",
@@ -309,8 +327,8 @@ class TestParseErrors:
             "tau21_scan_steps = 3",
         )
         err = self.err(text)
-        assert "negative" in str(err)
-        assert (err.line, err.column) == (5, 21)
+        assert str(err) == ("line 5, column 21: tau2 = tau1_s + "
+                            "tau21_scan_stop_s: must be finite and >= 0")
 
 
 #: value tokens for numeric keys: plain numbers, the ones floats cannot
@@ -459,30 +477,35 @@ class TestStrayLineBreaks:
         assert repr(char) in str(excinfo.value)
 
 
+#: a config whose file seed is 1
+SEEDED = RunConfig(sigma_f=1e6, tau1=1e-6, tau2=2e-6, seed=1)
+
+
 class TestSeedPrecedence:
     def test_cli_wins(self):
-        assert resolve_seed("9", {"COHOM_SEED": "5"}, 1) == 9
+        assert resolve_seed(SEEDED, "9", {"COHOM_SEED": "5"}).seed == 9
 
     def test_env_beats_file(self):
-        assert resolve_seed(None, {"COHOM_SEED": "5"}, 1) == 5
+        assert resolve_seed(SEEDED, None, {"COHOM_SEED": "5"}).seed == 5
 
     def test_file_is_fallback(self):
-        assert resolve_seed(None, {}, 1) == 1
+        assert resolve_seed(SEEDED, None, {}) == SEEDED
 
     def test_bad_env_value(self):
         with pytest.raises(ConfigParseError) as err:
-            resolve_seed(None, {"COHOM_SEED": "many"}, 1)
+            resolve_seed(SEEDED, None, {"COHOM_SEED": "many"})
         assert "COHOM_SEED" in str(err.value)
 
     def test_bad_env_value_escaped(self):
         # a control character stays visible in the message
         with pytest.raises(ConfigParseError) as err:
-            resolve_seed(None, {"COHOM_SEED": "5\x01"}, 1)
+            resolve_seed(SEEDED, None, {"COHOM_SEED": "5\x01"})
         assert str(err.value) == r"COHOM_SEED: not an integer: '5\x01'"
 
 
 #: integer texts: literals of each base, leading zeros, float forms
-#: exact and inexact, negatives, and text that is no integer at all
+#: exact and inexact, negatives, the digits of other scripts, and text
+#: that is no integer at all
 _INTEGER_TEXTS = st.one_of(
     st.sampled_from(["0x10", "010", "1_0", "1e3", "-1e3", "0x", "0b101",
                      "0o17", "-0", "+7", "09007199254740993",
@@ -490,7 +513,8 @@ _INTEGER_TEXTS = st.one_of(
                      "inf", "0e99999999999999999999", "1__0", "_1"]),
     st.integers(-2**70, 2**70).map(str),
     st.floats().map(repr),
-    st.text("0123456789+-._eExXoObBaf", min_size=1, max_size=12),
+    st.text("0123456789+-._eExXoObBaf\u0663\u06f5\u0967\uff11\uff10",
+            min_size=1, max_size=12),
 )
 
 
@@ -514,11 +538,12 @@ class TestOneIntegerGrammar:
         def from_flag():
             args = build_parser().parse_args(
                 ["simulate", "--config", "x.cfg", f"--seed={text}"])
-            return resolve_seed(args.seed, {}, 0)
+            return resolve_seed(SEEDED, args.seed, {}).seed
 
         outcome = _seed_or_rejection(from_file, "line 6, column 8")
         assert outcome == _seed_or_rejection(
-            lambda: resolve_seed(None, {"COHOM_SEED": text}, 0), "COHOM_SEED")
+            lambda: resolve_seed(SEEDED, None, {"COHOM_SEED": text}).seed,
+            "COHOM_SEED")
         assert outcome == _seed_or_rejection(from_flag, "--seed")
 
 

@@ -9,14 +9,19 @@ import os
 import stat
 import subprocess
 import sys
+import tempfile
 import threading
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cohom
 from cohom import cli
 from cohom.analytic import pair_chart
+from cohom.benchio import ConfigParseError, parse_config
 from cohom.cli import _emit
 from cohom.validation import check_outcome_table
 
@@ -327,6 +332,18 @@ class TestSeedPrecedence:
         assert capsys.readouterr().err == (
             "error: COHOM_SEED: must be a non-negative integer\n")
 
+    @pytest.mark.parametrize("text", ["\uff11\uff10", "\u0663"])
+    def test_non_ascii_seed_names_its_source(self, point_cfg, capsys,
+                                             monkeypatch, text):
+        assert main(["simulate", "--config", point_cfg, "--quiet",
+                     f"--seed={text}"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --seed: not an integer: {text!r}\n")
+        monkeypatch.setenv("COHOM_SEED", text)
+        assert main(["simulate", "--config", point_cfg, "--quiet"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: COHOM_SEED: not an integer: {text!r}\n")
+
     def test_negative_file_seed(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text(POINT_CFG.replace("seed = 42", "seed = -1"))
@@ -377,6 +394,23 @@ class TestErrors:
         err = capsys.readouterr().err
         assert where in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["analytic", "scan"])
+    @pytest.mark.parametrize("start", ["0", "-1e308"])
+    def test_overflowing_scan_end_positioned(self, tmp_path, capsys, command,
+                                             start):
+        # tau2 = tau1 + stop overflows; every point used to run, the last
+        # one at tau2 = inf
+        path = tmp_path / "bad.cfg"
+        path.write_text(SCAN_CFG.replace("tau1_s = 1e-6", "tau1_s = 1e308")
+                        .replace("start_s = -1e-6", f"start_s = {start}")
+                        .replace("stop_s = 1e-6", "stop_s = 1e308"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main([command, "--config", str(path), "--quiet"]) == 2
+        assert capsys.readouterr().err == (
+            "error: line 5, column 21: tau2 = tau1_s + tau21_scan_stop_s: "
+            "must be finite and >= 0\n")
 
     @pytest.mark.parametrize("command", ["analytic", "scan"])
     def test_huge_scan_steps_positioned(self, tmp_path, capsys, command):
@@ -463,6 +497,64 @@ class TestErrors:
         assert capsys.readouterr().err == (
             "error: argument --out: must name a file, not ''\n")
         assert os.listdir(tmp_path) == ["work"] and os.listdir(work) == []
+
+
+#: the values of the config documents below: zero, the least subnormal,
+#: the bench's own scales, and magnitudes at the top of the float range
+EDGE_VALUES = (0.0, 5e-324, 1e-9, 1e-6, 1.0, 1e300, 1e307, 1.7e308)
+
+
+@st.composite
+def edge_documents(draw):
+    """Every key but the mode at an edge value, scan bounds of either
+    sign: ``(the keys of a single point, those of a scan, the rest)``."""
+    def value(key, values=EDGE_VALUES):
+        return f"{key} = {draw(st.sampled_from(values))!r}"
+
+    bound = EDGE_VALUES + tuple(-v for v in EDGE_VALUES)
+    bench = ["[bench]", value("sigma_f_hz"), value("tau1_s")]
+    rest = ["[source]", value("mean_photon_number"),
+            f"n_pairs = {draw(st.integers(1, 2000))}",
+            value("higher_order_ratio"), "[detector]", value("pulse_sigma_s"),
+            value("coincidence_window_s")]
+    scan = [value("tau21_scan_start_s", bound),
+            value("tau21_scan_stop_s", bound),
+            f"tau21_scan_steps = {draw(st.integers(1, 3))}"]
+    return bench + [value("tau2_s")], bench + scan, rest
+
+
+def run_document(command: str, text: str) -> tuple:
+    """``cohom <command>`` on ``text`` as its config file: the exit code
+    and stderr.  A RuntimeWarning is raised."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "edge.cfg")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli.main([command, "--config", path, "--quiet"])
+    return code, err.getvalue()
+
+
+class TestAcceptedConfigsRun:
+    @given(edge_documents(), st.sampled_from(["amplitude", "classical"]))
+    @settings(max_examples=300, deadline=None)
+    def test_what_the_parser_accepts_the_engines_run(self, documents, mode):
+        point, scan, rest = documents
+        for bench, commands in ((point, ["simulate"]),
+                                (scan, ["analytic", "scan"])):
+            text = "\n".join(bench + rest + ["[run]", f"mode = {mode}", ""])
+            try:
+                parse_config(text)
+                expected = (0, "")
+            except ConfigParseError as err:
+                assert err.line is not None, text
+                expected = (2, f"error: {err}\n")
+            for command in commands:
+                assert run_document(command, text) == expected, (command,
+                                                                 text)
 
 
 @pytest.mark.parametrize("failing", ["write", "flush"])

@@ -597,6 +597,20 @@ class TestSimulateClassical:
             monkeypatch.setattr(cohom.montecarlo, "CHUNK_SIZE", size)
             assert simulate_run(config) == reference
 
+    def test_overflowing_stamp_differences_fall_outside_the_window(self):
+        # stamps of sigma 1e308 overflow, and so do their differences (inf,
+        # or inf - inf = NaN): outside the window, without a warning
+        config = base_config(mode="classical", sigma_f=2.5e6,
+                             mean_photon_number=1.0, pulse_sigma=1e308,
+                             n_pairs=20_000)
+        counts = simulate_run(config)
+        three_clicks = sum(p for fired, p in zip(CLICK_PATTERNS,
+                                                 click_pattern_table(config))
+                           if len(fired) > 2)
+        assert three_clicks * config.n_pairs > 1000
+        assert counts.coincidences == {p: 0 for p in DETECTOR_PAIRS}
+        assert counts.n_postselected == 0
+
     def test_zero_phase_and_jitter_is_deterministic(self):
         # at sigma_f = 0 only D1 and D4 can click, at mu = 1 they always
         # do, and without jitter their pair always lands in the window
@@ -697,6 +711,37 @@ class TestClickPatternTable:
         for fired, p in table.items():
             assert math.isfinite(p)
             assert p == pytest.approx(washed_out[fired], abs=1e-9)
+
+    def test_overflowing_spread_at_zero_delay_is_a_full_fringe(self):
+        # 3 sigma_f and 4 sigma_f overflow a float, yet with equal arms
+        # every phase is zero: E[cos(m theta)] = 1, the limit of the
+        # envelope, not 0 * inf = NaN
+        assert pattern_table(sigma_f=1e308, tau1=0.0, tau2=0.0) == (
+            pattern_table(sigma_f=0.0, tau1=0.0, tau2=0.0))
+
+    def test_overflowing_spread_at_a_nonzero_delay_washes_out(self):
+        assert pattern_table(sigma_f=1e308, tau1=1e-6, tau2=0.0) == (
+            pattern_table(sigma_f=1e12, tau1=1e-6, tau2=0.0))
+
+    def test_overflowing_spread_over_a_subnormal_delay(self):
+        # m sigma_f overflows but the phase m sigma_f tau1 is about 2e-15:
+        # the fringe is still full, not washed out for m = 3, 4 alone
+        config = base_config(mode="classical", sigma_f=1e308, tau1=5e-324,
+                             tau2=0.0, n_pairs=1000)
+        table = dict(zip(CLICK_PATTERNS, click_pattern_table(config)))
+        full = pattern_table(sigma_f=0.0, tau1=0.0, tau2=0.0)
+        for fired, p in table.items():
+            assert p == pytest.approx(full[fired], abs=1e-12)
+        simulate_run(config)
+
+    def test_vanishing_mu_leaves_no_probability_above_one(self):
+        # no click at all has probability 1 - O(mu); the moments' rounding
+        # used to put it an ulp above 1, which the multinomial refuses
+        config = base_config(mode="classical", sigma_f=2e-6 * math.pi,
+                             tau1=0.0, tau2=1.0, mean_photon_number=5e-324,
+                             n_pairs=1)
+        assert click_pattern_table(config)[0] == 1.0
+        assert simulate_run(config).singles == {k: 0 for k in DETECTORS}
 
     @settings(max_examples=200, deadline=None)
     @given(sigma_f=st.floats(0.0, 1e8), tau1=st.floats(0.0, 5e-6),
