@@ -281,6 +281,7 @@ def parse_config(text: str):
             raise ConfigParseError(
                 f"missing required key '{key}' in [{section}]")
     values["sigma_f"] *= 2.0 * math.pi  # the file gives Hz, the engine rad/s
+    where["sigma_f"] = ("sigma_f = 2*pi * sigma_f_hz", where["sigma_f"][1])
     configs = []
     for tau2, name, tok in ends:
         with _rejected_at(where | {"tau2": (name, tok)}):
@@ -360,15 +361,15 @@ def resolve_seed(config, cli_seed: Optional[str], environ) -> RunConfig:
 
 @dataclass(frozen=True)
 class ResultRow:
-    """One scan point; the field order is the column order of the table."""
+    """One scan point; the fields are the table's columns, in order."""
 
     tau21_s: float
-    i1: float
-    i2: float
-    i3: float
-    i4: float
-    r13: float
-    r24: float
+    I1: float
+    I2: float
+    I3: float
+    I4: float
+    R13: float
+    R24: float
     g2_13: float
     g2_13_err: float
     g2_24: float
@@ -377,16 +378,8 @@ class ResultRow:
     n_coinc_24: int
 
 
-#: (column name, ResultRow field, its type: int for a count, else float),
-#: in column order
-_COLUMNS = tuple(
-    (name, field, kind) for name, (field, kind) in zip(
-        ("tau21_s", "I1", "I2", "I3", "I4", "R13", "R24", "g2_13",
-         "g2_13_err", "g2_24", "g2_24_err", "n_coinc_13", "n_coinc_24"),
-        get_type_hints(ResultRow).items(), strict=True)
-)
-
-CSV_HEADER = ",".join(name for name, _, _ in _COLUMNS)
+#: column name -> its type: int for a count, else float; in column order
+_COLUMNS = get_type_hints(ResultRow)
 
 
 @dataclass(frozen=True)
@@ -442,12 +435,12 @@ def simulation_rows(points) -> list:
         g2_24 = g2_estimate(counts, (2, 4))
         rows.append(ResultRow(
             tau21_s=point.tau21,
-            i1=counts.singles[1] / norm,
-            i2=counts.singles[2] / norm,
-            i3=counts.singles[3] / norm,
-            i4=counts.singles[4] / norm,
-            r13=counts.coincidences[(1, 3)] / n,
-            r24=counts.coincidences[(2, 4)] / n,
+            I1=counts.singles[1] / norm,
+            I2=counts.singles[2] / norm,
+            I3=counts.singles[3] / norm,
+            I4=counts.singles[4] / norm,
+            R13=counts.coincidences[(1, 3)] / n,
+            R24=counts.coincidences[(2, 4)] / n,
             g2_13=g2_13.value, g2_13_err=g2_13.stderr,
             g2_24=g2_24.value, g2_24_err=g2_24.stderr,
             n_coinc_13=counts.coincidences[(1, 3)],
@@ -493,32 +486,19 @@ def json_text(payload) -> str:
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
-def render_results_csv(result: RunResult) -> str:
-    return csv_text(
-        (name for name, _, _ in _COLUMNS),
-        ([str(getattr(row, field)) if kind is int
-          else _fmt(getattr(row, field)) for _, field, kind in _COLUMNS]
-         for row in result.rows))
-
-
-def _row_dict(row: ResultRow) -> dict:
-    return {name: getattr(row, field) if kind is int
-            else _json_float(getattr(row, field))
-            for name, field, kind in _COLUMNS}
-
-
-def render_results_json(result: RunResult) -> str:
-    payload = {
-        "manifest": result.manifest,
-        "rows": [_row_dict(row) for row in result.rows],
-    }
-    return json_text(payload)
-
-
 def render_results(result: RunResult, fmt: str) -> str:
+    """The result table as CSV, or as JSON with the run manifest."""
     if fmt == "csv":
-        return render_results_csv(result)
+        return csv_text(_COLUMNS, (
+            [str(getattr(row, name)) if kind is int
+             else _fmt(getattr(row, name)) for name, kind in _COLUMNS.items()]
+            for row in result.rows))
     if fmt == "json":
-        return render_results_json(result)
+        return json_text({
+            "manifest": result.manifest,
+            "rows": [{name: getattr(row, name) if kind is int
+                      else _json_float(getattr(row, name))
+                      for name, kind in _COLUMNS.items()}
+                     for row in result.rows],
+        })
     raise ValueError(f"unknown format '{fmt}'")
-

@@ -1,6 +1,5 @@
 """Config-file parsing, seed precedence, and result serialization."""
 
-import dataclasses
 import json
 import math
 import re
@@ -11,7 +10,6 @@ from hypothesis import strategies as st
 
 from cohom.analytic import ensemble_intensity
 from cohom.benchio import (
-    CSV_HEADER,
     ConfigParseError,
     ResultRow,
     RunResult,
@@ -24,8 +22,7 @@ from cohom.benchio import (
     make_manifest,
     parse_config,
     render_config,
-    render_results_csv,
-    render_results_json,
+    render_results,
     resolve_seed,
     simulation_rows,
 )
@@ -135,6 +132,14 @@ class TestParseErrors:
         err = self.err(MINIMAL + "   tau_oops = 1\n")
         assert err.line == 5 and err.column == 4
 
+    @pytest.mark.parametrize("line, message", [
+        ("  [run", "unterminated section header"),
+        ("  = 12", "missing key before '='"),
+    ])
+    def test_malformed_line_positioned(self, line, message):
+        err = self.err(MINIMAL + line + "\n")
+        assert str(err) == f"line 5, column 3: {message}"
+
     def test_unknown_section(self):
         err = self.err(MINIMAL + "[laser]\n")
         assert "laser" in str(err) and err.line == 5
@@ -235,6 +240,13 @@ class TestParseErrors:
     def test_bad_bool(self):
         err = self.err(MINIMAL + "[run]\nheterodyne_filter = maybe\n")
         assert "true or false" in str(err)
+
+    def test_overflowing_sigma_f_names_the_conversion(self):
+        # 1.7e308 Hz is finite; 2*pi times it is not
+        err = self.err(MINIMAL.replace("sigma_f_hz = 1e6",
+                                       "sigma_f_hz = 1.7e308"))
+        assert str(err) == ("line 2, column 14: sigma_f = 2*pi * sigma_f_hz: "
+                            "must be finite and >= 0")
 
     def test_range_violation_tagged_with_file_key(self):
         err = self.err(MINIMAL.replace("sigma_f_hz = 1e6",
@@ -563,11 +575,11 @@ class TestRows:
         assert [r.tau21_s for r in rows] == taus
         for row in rows:
             tau2 = config.tau1 + row.tau21_s
-            assert row.i1 == pytest.approx(
+            assert row.I1 == pytest.approx(
                 ensemble_intensity(1, config.sigma_f, config.tau1, tau2))
-            assert row.i1 + row.i3 == pytest.approx(1.0, abs=1e-12)
-            assert row.i2 + row.i4 == pytest.approx(1.0, abs=1e-12)
-            assert row.r13 == 0.0 and row.r24 == 0.0
+            assert row.I1 + row.I3 == pytest.approx(1.0, abs=1e-12)
+            assert row.I2 + row.I4 == pytest.approx(1.0, abs=1e-12)
+            assert row.R13 == 0.0 and row.R24 == 0.0
             assert row.n_coinc_13 == 0 and row.n_coinc_24 == 0
 
     def test_analytic_rows_reject_negative_tau2(self):
@@ -584,26 +596,26 @@ class TestRows:
             assert row.n_coinc_13 == counts.coincidences[(1, 3)]
             assert row.n_coinc_24 == counts.coincidences[(2, 4)]
             assert row.g2_13 == g2_estimate(counts, (1, 3)).value
-            assert row.r13 == counts.coincidences[(1, 3)] / counts.n_generated
-            assert row.i1 == counts.singles[1] / counts.n_generated
+            assert row.R13 == counts.coincidences[(1, 3)] / counts.n_generated
+            assert row.I1 == counts.singles[1] / counts.n_generated
 
     def test_classical_rows_normalize_by_mu(self):
         config, counts = small_run(mode="classical", mean_photon_number=0.5)
         from cohom.montecarlo import ScanPoint
 
         row, = simulation_rows([ScanPoint(0.0, config, counts)])
-        assert row.i1 == counts.singles[1] / (counts.n_generated * 0.5)
+        assert row.I1 == counts.singles[1] / (counts.n_generated * 0.5)
 
 
 def row_from_values(values: list) -> ResultRow:
-    return ResultRow(**{field: kind(value) for (_, field, kind), value
-                        in zip(_COLUMNS, values)})
+    return ResultRow(**{name: kind(value) for (name, kind), value
+                        in zip(_COLUMNS.items(), values)})
 
 
 def parse_results_csv(text: str) -> list:
     """Oracle: read back a results CSV; the header must match exactly."""
     lines = [line for line in text.splitlines() if line]
-    if not lines or lines[0] != CSV_HEADER:
+    if not lines or lines[0] != ",".join(_COLUMNS):
         raise ValueError("unrecognized results CSV header")
     rows = []
     for line in lines[1:]:
@@ -620,7 +632,7 @@ def parse_results_json(text: str) -> RunResult:
     payload = json.loads(text)
     rows = tuple(
         row_from_values([math.nan if entry[name] is None else entry[name]
-                         for name, _, _ in _COLUMNS])
+                         for name in _COLUMNS])
         for entry in payload["rows"]
     )
     return RunResult(rows=rows, manifest=payload["manifest"])
@@ -635,44 +647,48 @@ def sample_result() -> RunResult:
 
 class TestResultsSerialization:
     def test_csv_header_exact(self):
-        text = render_results_csv(sample_result())
-        assert text.splitlines()[0] == CSV_HEADER
-        assert CSV_HEADER == ("tau21_s,I1,I2,I3,I4,R13,R24,g2_13,g2_13_err,"
-                              "g2_24,g2_24_err,n_coinc_13,n_coinc_24")
+        text = render_results(sample_result(), "csv")
+        assert text.splitlines()[0] == (
+            "tau21_s,I1,I2,I3,I4,R13,R24,g2_13,g2_13_err,"
+            "g2_24,g2_24_err,n_coinc_13,n_coinc_24")
 
     def test_csv_round_trip(self):
         result = sample_result()
-        text = render_results_csv(result)
+        text = render_results(result, "csv")
         rows = parse_results_csv(text)
         assert len(rows) == len(result.rows)
         for parsed, original in zip(rows, result.rows):
             assert parsed.tau21_s == pytest.approx(original.tau21_s, rel=1e-11)
-            assert parsed.i1 == pytest.approx(original.i1, rel=1e-11)
+            assert parsed.I1 == pytest.approx(original.I1, rel=1e-11)
             assert parsed.n_coinc_13 == original.n_coinc_13
         # a second render of the parsed rows is byte-identical
-        again = render_results_csv(RunResult(tuple(rows), {}))
+        again = render_results(RunResult(tuple(rows), {}), "csv")
         assert again == text
 
     def test_csv_rejects_foreign_header(self):
         with pytest.raises(ValueError):
             parse_results_csv("a,b,c\n1,2,3\n")
 
+    def test_unknown_format_rejected(self):
+        with pytest.raises(ValueError, match="unknown format 'xml'"):
+            render_results(sample_result(), "xml")
+
     def test_json_mirrors_rows_and_manifest(self):
         result = sample_result()
-        parsed = parse_results_json(render_results_json(result))
+        parsed = parse_results_json(render_results(result, "json"))
         assert parsed.manifest["seed"] == 11
         assert parsed.manifest["tool"] == "cohom"
         assert parsed.manifest["config"]["tau1"] == 1e-6
-        csv_rows = parse_results_csv(render_results_csv(result))
+        csv_rows = parse_results_csv(render_results(result, "csv"))
         assert list(parsed.rows) == csv_rows
 
     def test_json_nan_is_null_and_round_trips(self):
-        row = ResultRow(tau21_s=0.0, i1=0.5, i2=0.0, i3=0.5, i4=0.0,
-                        r13=0.0, r24=0.0, g2_13=0.25, g2_13_err=0.1,
+        row = ResultRow(tau21_s=0.0, I1=0.5, I2=0.0, I3=0.5, I4=0.0,
+                        R13=0.0, R24=0.0, g2_13=0.25, g2_13_err=0.1,
                         g2_24=math.nan, g2_24_err=math.nan,
                         n_coinc_13=1, n_coinc_24=0)
         result = RunResult((row,), sample_result().manifest)
-        text = render_results_json(result)
+        text = render_results(result, "json")
 
         def reject(token):
             raise ValueError(f"non-standard JSON token {token}")
@@ -684,15 +700,15 @@ class TestResultsSerialization:
         assert math.isnan(parsed.g2_24) and math.isnan(parsed.g2_24_err)
         assert parsed.g2_13 == 0.25
         # CSV keeps writing nan, and both formats read back the same row
-        csv_row, = parse_results_csv(render_results_csv(result))
-        assert render_results_csv(RunResult((parsed,), {})) == \
-            render_results_csv(RunResult((csv_row,), {}))
+        csv_row, = parse_results_csv(render_results(result, "csv"))
+        assert render_results(RunResult((parsed,), {}), "csv") == \
+            render_results(RunResult((csv_row,), {}), "csv")
 
     def test_float_rendering_significant_digits(self):
-        row = ResultRow(tau21_s=1.23456789012345e-7, i1=0.5, i2=0.5, i3=0.5,
-                        i4=0.5, r13=0.0, r24=0.0, g2_13=0.0, g2_13_err=0.0,
+        row = ResultRow(tau21_s=1.23456789012345e-7, I1=0.5, I2=0.5, I3=0.5,
+                        I4=0.5, R13=0.0, R24=0.0, g2_13=0.0, g2_13_err=0.0,
                         g2_24=0.0, g2_24_err=0.0, n_coinc_13=0, n_coinc_24=0)
-        line = render_results_csv(RunResult((row,), {})).splitlines()[1]
+        line = render_results(RunResult((row,), {}), "csv").splitlines()[1]
         assert line.split(",")[0] == "1.23456789012e-07"
 
 
@@ -704,12 +720,10 @@ result_rows = st.builds(
                        st.integers(2**63 - 2**12, 2**63 - 1))
        for name in ("n_coinc_13", "n_coinc_24")})
 
-ROW_FIELDS = [f.name for f in dataclasses.fields(ResultRow)]
-
 
 def assert_read_back(parsed, original, *, infinity_is_nan=False):
     """``parsed`` holds ``original`` to the 12 rendered digits."""
-    for name in ROW_FIELDS:
+    for name in _COLUMNS:
         got, want = getattr(parsed, name), getattr(original, name)
         if isinstance(want, int):
             assert got == want and isinstance(got, int), name
@@ -724,17 +738,17 @@ class TestResultsRoundTrip:
     @given(st.lists(result_rows, max_size=4))
     @settings(max_examples=300, deadline=None)
     def test_csv(self, rows):
-        text = render_results_csv(RunResult(tuple(rows), {}))
+        text = render_results(RunResult(tuple(rows), {}), "csv")
         parsed = parse_results_csv(text)
         assert len(parsed) == len(rows)
         for got, want in zip(parsed, rows):
             assert_read_back(got, want)
-        assert render_results_csv(RunResult(tuple(parsed), {})) == text
+        assert render_results(RunResult(tuple(parsed), {}), "csv") == text
 
     @given(st.lists(result_rows, max_size=4))
     @settings(max_examples=300, deadline=None)
     def test_json(self, rows):
-        text = render_results_json(RunResult(tuple(rows), {"seed": 1}))
+        text = render_results(RunResult(tuple(rows), {"seed": 1}), "json")
 
         def reject(token):
             raise ValueError(f"non-standard JSON token {token}")
@@ -749,12 +763,12 @@ class TestResultsRoundTrip:
 
 
 PINNED_ROWS = (
-    ResultRow(tau21_s=-1e-07, i1=0.5, i2=0.123456789012345, i3=1 / 3,
-              i4=0.0, r13=0.0, r24=2.5e-05, g2_13=0.0, g2_13_err=0.000125,
+    ResultRow(tau21_s=-1e-07, I1=0.5, I2=0.123456789012345, I3=1 / 3,
+              I4=0.0, R13=0.0, R24=2.5e-05, g2_13=0.0, g2_13_err=0.000125,
               g2_24=math.nan, g2_24_err=math.nan, n_coinc_13=0,
               n_coinc_24=5),
-    ResultRow(tau21_s=-0.0, i1=1.0, i2=12345678.9, i3=math.inf,
-              i4=-math.inf, r13=1e-300, r24=0.1 + 0.2, g2_13=0.5,
+    ResultRow(tau21_s=-0.0, I1=1.0, I2=12345678.9, I3=math.inf,
+              I4=-math.inf, R13=1e-300, R24=0.1 + 0.2, g2_13=0.5,
               g2_13_err=0.0125, g2_24=1.0, g2_24_err=5e-324,
               n_coinc_13=2**63 - 1, n_coinc_24=42),
 )
@@ -809,5 +823,5 @@ PINNED_JSON = """\
 
 def test_pinned_result_text():
     result = RunResult(PINNED_ROWS, {"command": "scan", "seed": 3})
-    assert render_results_csv(result) == PINNED_CSV
-    assert render_results_json(result) == PINNED_JSON
+    assert render_results(result, "csv") == PINNED_CSV
+    assert render_results(result, "json") == PINNED_JSON
