@@ -12,19 +12,18 @@ on the way in.
 
 Results are a fixed-order table, one row per scan point, written as CSV
 (bit-stable across reruns with the same seed) or as JSON carrying the
-same rows plus a run manifest (config echo, seed, engine versions,
-wall clock).  Floats are rendered with 12 significant digits in both
-formats; an undefined value (NaN, such as the g2 of a dead detector) is
-``nan`` in CSV and ``null`` in JSON, which stays strict JSON.
+same rows plus a run manifest (seed, engine versions, wall clock, and
+the run's config as the config text that re-runs it).  Floats are
+rendered with 12 significant digits in both formats; an undefined value
+(NaN, such as the g2 of a dead detector) is ``nan`` in CSV and ``null``
+in JSON, which stays strict JSON.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
-import decimal
 import io
-import json
 import math
 import platform
 import re
@@ -167,7 +166,10 @@ def _as_int(tok: _Token) -> int:
             as_float = float(tok.text)
     if not (math.isfinite(as_float) and as_float.is_integer()):
         raise tok.error(f"not an integer: {tok.text!r}")
+    # imported here so that a run whose integers are all digits skips it;
     # Decimal compares exactly and rejects an exponent too large for it
+    import decimal
+
     with contextlib.suppress(decimal.InvalidOperation):
         if decimal.Decimal(tok.text) == decimal.Decimal(as_float):
             return int(as_float)
@@ -292,15 +294,16 @@ def parse_config(text: str):
 def render_config(config: RunConfig, scan: Optional[ScanSpec] = None) -> str:
     """Render a config document that parses back to the same values.
 
-    The only lossy step is the Hz <-> rad/s conversion of sigma_f (a
-    divide-then-multiply round trip, accurate to a couple of ulp).
+    The only lossy step is the Hz <-> rad/s conversion of sigma_f: a
+    sigma_f read from a file, 2*pi times its file value, comes back
+    exactly; any other may move by an ulp.
     """
     values = {key: getattr(config, field)
               for key, (_, field, _) in _KEYS.items()}
     values["sigma_f_hz"] = config.sigma_f / (2.0 * math.pi)
     if scan is not None:
         del values["tau2_s"]
-        values.update(_scan_echo(scan))
+        values.update(zip(_SCAN_KEYS, astuple(scan)))
     lines = []
     for section, keys in _SCHEMA.items():
         lines.append(f"[{section}]")
@@ -313,10 +316,6 @@ def render_config(config: RunConfig, scan: Optional[ScanSpec] = None) -> str:
 def _config_value(value) -> str:
     # str() of a float is its repr, which parses back to the same float
     return str(value).lower() if isinstance(value, bool) else str(value)
-
-
-def _scan_echo(scan: ScanSpec) -> dict:
-    return dict(zip(_SCAN_KEYS, astuple(scan)))
 
 
 def read_config(path) -> tuple:
@@ -415,8 +414,8 @@ def analytic_rows(config: RunConfig, tau21_values) -> list:
             for row in zip(*(column.tolist() for column in columns))]
 
 
-def simulation_rows(points) -> list:
-    """Monte Carlo table rows from per-point count accumulators.
+def simulation_rows(config: RunConfig, points) -> list:
+    """Monte Carlo table rows from the run's config and its scan points.
 
     Intensity columns are singles-rate estimates of the normalized port
     intensities: singles/(n*mu) in classical mode (per-slot Bernoulli
@@ -424,13 +423,12 @@ def simulation_rows(points) -> list:
     flat at 1/2 in the wide-scan regime).  R columns are per-slot
     coincidence rates.
     """
+    scale = config.mean_photon_number if config.mode == "classical" else 1.0
     rows = []
     for point in points:
         counts = point.counts
-        config = point.config
         n = counts.n_generated
-        norm = n * (config.mean_photon_number
-                    if config.mode == "classical" else 1.0)
+        norm = n * scale
         g2_13 = g2_estimate(counts, (1, 3))
         g2_24 = g2_estimate(counts, (2, 4))
         rows.append(ResultRow(
@@ -451,15 +449,15 @@ def simulation_rows(points) -> list:
 
 def make_manifest(command: str, config: RunConfig,
                   scan: Optional[ScanSpec], wall_clock_s: float) -> dict:
-    config_echo = {f.name: getattr(config, f.name) for f in fields(RunConfig)}
+    """The JSON run manifest; ``config_file`` is the config text that
+    re-runs the command, with the seed the run used."""
     return {
         "tool": "cohom",
         "version": __version__,
         "command": command,
         "seed": config.seed,
         "mode": config.mode,
-        "config": config_echo,
-        "scan": None if scan is None else _scan_echo(scan),
+        "config_file": render_config(config, scan),
         "engines": {"python": platform.python_version(),
                     "numpy": np.__version__},
         "wall_clock_s": round(wall_clock_s, 6),
@@ -483,6 +481,9 @@ def json_text(payload) -> str:
     """Strict JSON text of ``payload``, indented by two, with a final
     newline; a NaN or infinity raises instead of being written.  Every
     JSON output of the bench is written here."""
+    # imported here so that a CSV run skips its start-up cost
+    import json
+
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 

@@ -182,8 +182,8 @@ def cmd_table(args) -> int:
         progress(f"{args.command}: {len(values)} point(s) x {config.n_pairs} "
                  f"pairs, mode={config.mode}, seed={config.seed}")
         points = (scan_tau21(config, values) if scan is not None else
-                  [ScanPoint(values[0], config, simulate_run(config))])
-        rows = simulation_rows(points)
+                  [ScanPoint(values[0], simulate_run(config))])
+        rows = simulation_rows(config, points)
     elapsed = time.perf_counter() - started
     manifest = make_manifest(args.command, config, scan, elapsed)
     _emit(render_results(RunResult(tuple(rows), manifest), args.format),

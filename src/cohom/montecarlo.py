@@ -471,10 +471,11 @@ def simulate_run(config: RunConfig) -> CountsAccumulator:
 
 @dataclass(frozen=True)
 class ScanPoint:
-    """One scan position: the delay difference, its config, its counts."""
+    """One scan position: the delay difference and its counts.  The point
+    ran the run's config at tau2 = tau1 + tau21, under a seed derived
+    from the run's (see :func:`scan_tau21`)."""
 
     tau21: float
-    config: RunConfig
     counts: CountsAccumulator
 
 
@@ -497,10 +498,7 @@ def scan_tau21(config: RunConfig, tau21_values, workers: int = 1) -> list:
         counts = [simulate_run(c) for c in point_configs]
     else:
         counts = _run_on_threads(point_configs, workers)
-    return [
-        ScanPoint(tau21=v, config=c, counts=k)
-        for v, c, k in zip(values, point_configs, counts)
-    ]
+    return [ScanPoint(v, k) for v, k in zip(values, counts)]
 
 
 def _run_on_threads(point_configs: list, workers: int) -> list:

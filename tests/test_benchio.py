@@ -456,6 +456,15 @@ class TestRoundTrip:
         if scan is None:
             assert parsed.tau2 == config.tau2
 
+    @given(valid_setups())
+    @settings(max_examples=200, deadline=None)
+    def test_manifest_config_file_reads_back_exactly(self, setup):
+        # a sigma_f that is 2*pi times a file value survives the Hz
+        # round trip exactly, so the manifest re-runs the same config
+        config, scan = setup
+        manifest = make_manifest("scan", config, scan, wall_clock_s=0.0)
+        assert parse_config(manifest["config_file"]) == (config, scan)
+
     @given(section=st.sampled_from(sorted(_SCHEMA)),
            name=st.from_regex(r"[a-z][a-z0-9_]{0,14}", fullmatch=True))
     @settings(max_examples=200, deadline=None)
@@ -590,7 +599,7 @@ class TestRows:
     def test_simulation_rows_match_counts(self):
         config, _ = small_run()
         points = scan_tau21(config, [0.0, 1e-7])
-        rows = simulation_rows(points)
+        rows = simulation_rows(config, points)
         for row, point in zip(rows, points):
             counts = point.counts
             assert row.n_coinc_13 == counts.coincidences[(1, 3)]
@@ -603,7 +612,7 @@ class TestRows:
         config, counts = small_run(mode="classical", mean_photon_number=0.5)
         from cohom.montecarlo import ScanPoint
 
-        row, = simulation_rows([ScanPoint(0.0, config, counts)])
+        row, = simulation_rows(config, [ScanPoint(0.0, counts)])
         assert row.I1 == counts.singles[1] / (counts.n_generated * 0.5)
 
 
@@ -638,11 +647,13 @@ def parse_results_json(text: str) -> RunResult:
     return RunResult(rows=rows, manifest=payload["manifest"])
 
 
+SAMPLE_CONFIG = RunConfig(sigma_f=2.5e5, tau1=1e-6, tau2=1e-6, seed=11)
+
+
 def sample_result() -> RunResult:
-    config = RunConfig(sigma_f=2.5e5, tau1=1e-6, tau2=1e-6, seed=11)
-    rows = tuple(analytic_rows(config, [-1e-7, 0.0, 1e-7]))
+    rows = tuple(analytic_rows(SAMPLE_CONFIG, [-1e-7, 0.0, 1e-7]))
     return RunResult(rows=rows, manifest=make_manifest(
-        "analytic", config, None, wall_clock_s=0.25))
+        "analytic", SAMPLE_CONFIG, None, wall_clock_s=0.25))
 
 
 class TestResultsSerialization:
@@ -678,7 +689,8 @@ class TestResultsSerialization:
         parsed = parse_results_json(render_results(result, "json"))
         assert parsed.manifest["seed"] == 11
         assert parsed.manifest["tool"] == "cohom"
-        assert parsed.manifest["config"]["tau1"] == 1e-6
+        assert parse_config(parsed.manifest["config_file"]) == (
+            SAMPLE_CONFIG, None)
         csv_rows = parse_results_csv(render_results(result, "csv"))
         assert list(parsed.rows) == csv_rows
 

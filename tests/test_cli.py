@@ -276,6 +276,43 @@ class TestSimulateAndScan:
         assert len(payload["rows"]) == 1
 
 
+#: (command, config, where the seed comes from): the seed of a JSON
+#: run's manifest config is the one the run used
+RERUN_CASES = [(command, text, seed_from)
+               for command, text in (("simulate", POINT_CFG),
+                                     ("scan", SCAN_CFG))
+               for seed_from in ("file", "--seed", "COHOM_SEED")]
+RERUN_CASES.append(("analytic", SCAN_CFG, "file"))
+
+
+class TestRerunFromManifest:
+    @pytest.mark.parametrize("mode", ["amplitude", "classical"])
+    @pytest.mark.parametrize("command, text, seed_from", RERUN_CASES)
+    def test_config_file_reruns_byte_identical_csv(
+            self, tmp_path, capsys, monkeypatch, command, text, seed_from,
+            mode):
+        path = tmp_path / "run.cfg"
+        path.write_text(text + f"mode = {mode}\n")
+        argv = [command, "--config", str(path), "--quiet"]
+        monkeypatch.delenv("COHOM_SEED", raising=False)
+        if seed_from == "--seed":
+            argv += ["--seed", "1234"]
+        elif seed_from == "COHOM_SEED":
+            monkeypatch.setenv("COHOM_SEED", "1234")
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        assert main([*argv, "--format", "json"]) == 0
+        manifest = json.loads(capsys.readouterr().out)["manifest"]
+        if seed_from != "file":
+            assert manifest["seed"] == 1234
+
+        monkeypatch.delenv("COHOM_SEED", raising=False)
+        rerun = tmp_path / "rerun.cfg"
+        rerun.write_text(manifest["config_file"])
+        assert main([command, "--config", str(rerun), "--quiet"]) == 0
+        assert capsys.readouterr().out == first
+
+
 class TestSeedPrecedence:
     def run_seed(self, cfg, capsys, extra=()):
         code = main(["simulate", "--config", cfg, "--quiet",
@@ -721,5 +758,17 @@ def test_validate_loads_no_quadrature_pool_or_logging():
             " 'logging') if m in sys.modules), file=sys.stderr)")
     proc = subprocess.run([sys.executable, "-c", code], env=_package_env(),
                           capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "[]\n"
+
+
+def test_csv_scan_loads_neither_json_nor_decimal(scan_cfg):
+    # a CSV run writes no JSON, and its integers are all written in digits
+    code = ("import sys\nfrom cohom.cli import main\n"
+            f"assert main(['scan', '--config', {scan_cfg!r}, '--quiet'])"
+            " == 0\nprint(sorted(m for m in ('json', 'decimal')"
+            " if m in sys.modules), file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", code], env=_package_env(),
+                          capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == "[]\n"

@@ -785,6 +785,50 @@ class TestDeterminism:
                 assert on.coincidences[pair] <= off.coincidences[pair]
 
 
+@st.composite
+def run_configs(draw):
+    """A RunConfig of either mode, filter on or off, zero jitter included."""
+    mode = draw(st.sampled_from(["amplitude", "classical"]))
+    return base_config(
+        mode=mode,
+        heterodyne_filter=draw(st.booleans()),
+        sigma_f=draw(st.floats(0.0, 1e8)),
+        tau1=draw(st.floats(0.0, 5e-6)),
+        tau2=draw(st.floats(0.0, 5e-6)),
+        mean_photon_number=draw(
+            st.floats(1e-6, 1.0 if mode == "classical" else 5.0)),
+        n_pairs=draw(st.integers(1, 50_000)),
+        higher_order_ratio=draw(st.one_of(st.just(0.0),
+                                          st.floats(0.0, 0.99))),
+        pulse_sigma=draw(st.one_of(st.just(0.0), st.floats(0.0, 1e-7))),
+        coincidence_window=draw(st.floats(1e-12, 1e-7)),
+        seed=draw(st.integers(0, 2**63 - 1)),
+    )
+
+
+class TestEngineInvariants:
+    @settings(max_examples=400, deadline=None)
+    @given(run_configs())
+    def test_counts_obey_the_funnel(self, config):
+        counts = simulate_run(config)
+        n = config.n_pairs
+        assert counts.n_generated == n
+        for i, j in DETECTOR_PAIRS:
+            assert counts.coincidences[(i, j)] <= min(counts.singles[i],
+                                                      counts.singles[j])
+        total = sum(counts.coincidences.values())
+        if config.mode == "classical":
+            assert counts.n_postselected <= total
+            return
+        # two photons per slot, two more per accidental pair
+        singles = sum(counts.singles.values())
+        assert singles % 2 == 0 and 2 * n <= singles <= 4 * n
+        assert counts.n_postselected == total
+        if config.heterodyne_filter and config.higher_order_ratio == 0.0:
+            for pair in ANTICORRELATED:
+                assert counts.coincidences[pair] == 0
+
+
 class TestG2Estimate:
     def test_zero_coincidences_reports_positive_bound(self):
         counts = CountsAccumulator.empty()
@@ -833,13 +877,21 @@ class TestAccumulator:
 
 
 class TestScan:
-    def test_points_in_order_with_derived_delays(self):
+    def test_points_in_order_with_derived_delays(self, monkeypatch):
         cfg = base_config(tau1=0.5e-6, n_pairs=10_000)
         values = [-2e-7, 0.0, 2e-7]
+        received = []
+
+        def recording(config):
+            received.append(config)
+            return simulate_run(config)
+
+        monkeypatch.setattr(cohom.montecarlo, "simulate_run", recording)
         points = scan_tau21(cfg, values)
         assert [p.tau21 for p in points] == values
-        for p in points:
-            assert p.config.tau2 == pytest.approx(cfg.tau1 + p.tau21, abs=1e-18)
+        assert len(received) == len(points)
+        for p, config in zip(points, received):
+            assert config.tau2 == pytest.approx(cfg.tau1 + p.tau21, abs=1e-18)
             assert p.counts.n_generated == cfg.n_pairs
 
     def test_reproducible_and_parallel_safe(self):
@@ -862,27 +914,27 @@ class TestScan:
     def test_threaded_scan_reraises_a_worker_exception(self, monkeypatch):
         cfg = base_config(n_pairs=1_000)
         values = np.linspace(-1e-7, 1e-7, 5)
-        points = scan_tau21(cfg, values)
+        tau2 = [cfg.tau1 + value for value in values]
         # points 1 and 3 fail on different threads; the earlier one's
         # exception reaches the caller, as ThreadPoolExecutor.map gives it
-        errors = {points[1].config.seed: RuntimeError("point 1"),
-                  points[3].config.seed: RuntimeError("point 3")}
+        errors = {tau2[1]: RuntimeError("point 1"),
+                  tau2[3]: RuntimeError("point 3")}
 
         def faulty(config):
-            if config.seed in errors:
-                raise errors[config.seed]
+            if config.tau2 in errors:
+                raise errors[config.tau2]
             return simulate_run(config)
 
         monkeypatch.setattr(cohom.montecarlo, "simulate_run", faulty)
         threads_before = threading.active_count()
         with pytest.raises(RuntimeError) as excinfo:
             scan_tau21(cfg, values, workers=3)
-        assert excinfo.value is errors[points[1].config.seed]
+        assert excinfo.value is errors[tau2[1]]
         assert threading.active_count() == threads_before
-        del errors[points[1].config.seed]
+        del errors[tau2[1]]
         with pytest.raises(RuntimeError) as excinfo:
             scan_tau21(cfg, values, workers=3)
-        assert excinfo.value is errors[points[3].config.seed]
+        assert excinfo.value is errors[tau2[3]]
 
     def test_negative_delay_beyond_tau1_rejected(self):
         cfg = base_config(tau1=1e-7, n_pairs=1000)
