@@ -29,17 +29,18 @@ from .optics import PathTag, Polarization
 # ---------------------------------------------------------------------------
 
 
-# (up, down) arm coefficient of each port before the offset phases, at the
-# bright-source normalization (sqrt(2) times the single-photon amplitudes
-# of optics.detector_path_coefficients); ports 1 and 3 carry H, ports 2
-# and 4 carry V.
-_PORT_COEFFS = {1: (0.5j, 0.5j), 2: (0.5, -0.5), 3: (-0.5, 0.5),
-                4: (-0.5j, -0.5j)}
+#: (up, down) arm coefficient of each port before the offset phases, at
+#: the bright-source normalization (sqrt(2) times the single-photon
+#: amplitudes of optics.detector_path_coefficients); ports 1 and 3 carry
+#: H, ports 2 and 4 carry V.  The bench's one coefficient table: the
+#: closed forms here and the Monte Carlo outcome tables read it.
+PORT_COEFFS = {1: (0.5j, 0.5j), 2: (0.5, -0.5), 3: (-0.5, 0.5),
+               4: (-0.5j, -0.5j)}
 
 # Fringe sign per port, 4*Re(up*conj(down)): detectors 1 and 4 sit on the
 # bright fringe.
 _PORT_SIGN = {port: 4.0 * (up * down.conjugate()).real
-              for port, (up, down) in _PORT_COEFFS.items()}
+              for port, (up, down) in PORT_COEFFS.items()}
 
 
 def local_intensity(port: int, delta_f, tau1, tau2):
@@ -95,20 +96,32 @@ def _arm_phase(delta_f, tau1, tau2) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _cross_port_rate(port_i: int, port_j: int, delta_f, tau1, tau2):
-    """|pairing sum|^2 between two same-polarization ports.
+def pairing_rate(port_i: int, port_j: int, arm_1: int, arm_2: int) -> float:
+    """|a_i b_j + a_j b_i|^2, the squared pairing sum of a photon pair.
 
-    One photon of the pair travels the up arm, the other the down arm; the
-    amplitude sums both assignments.  Same-arm products never appear: one
-    photon cannot trigger both detectors, and equal-offset pairs are removed
-    by the heterodyne stage, so only cross-arm terms survive.  Both carry
-    the same arm product u conj(u) of modulus one, so the rate is that of
-    the coefficient sum alone, broadcast over the parameters' shape.
+    ``a`` and ``b`` are the :data:`PORT_COEFFS` of photon 1's arm and
+    photon 2's arm (0 up, 1 down), and the sum runs over both ways the
+    pair can reach ports i and j.  The arms' offset phases multiply
+    both terms alike and have modulus one, so they are left out.  Every
+    coefficient is +-1/2 or +-i/2, so the result is exact: 0.0 where
+    the two terms cancel.
     """
-    i_up, i_down = _PORT_COEFFS[port_i]
-    j_up, j_down = _PORT_COEFFS[port_j]
+    a_i, a_j = PORT_COEFFS[port_i][arm_1], PORT_COEFFS[port_j][arm_1]
+    b_i, b_j = PORT_COEFFS[port_i][arm_2], PORT_COEFFS[port_j][arm_2]
+    return abs(a_i * b_j + a_j * b_i) ** 2
+
+
+def _cross_port_rate(port_i: int, port_j: int, delta_f, tau1, tau2):
+    """Cross-arm :func:`pairing_rate` between two same-polarization ports.
+
+    One photon of the pair travels the up arm, the other the down arm.
+    Same-arm products never appear: one photon cannot trigger both
+    detectors, and equal-offset pairs are removed by the heterodyne
+    stage, so only cross-arm terms survive.  The rate does not depend on
+    the parameters; it is broadcast over their shape.
+    """
     shape = np.broadcast_shapes(*map(np.shape, (delta_f, tau1, tau2)))
-    out = np.full(shape, abs(i_up * j_down + i_down * j_up) ** 2)
+    out = np.full(shape, pairing_rate(port_i, port_j, 0, 1))
     return out if out.ndim else float(out)
 
 

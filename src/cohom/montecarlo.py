@@ -5,8 +5,8 @@ coherence slot, a common detuning draw ``delta_f`` (the up-tagged photon
 is shifted by +delta_f, the down-tagged one by -delta_f) and a common
 random optical phase.  The joint path assignment of the two photons at
 the first splitter (the *arm pair*) is uniform; conditioned on its path
-tag, each photon propagates to the detectors with the coefficients
-supplied by :mod:`cohom.optics`.
+tag, each photon propagates to the detectors with the port coefficients
+of :data:`cohom.analytic.PORT_COEFFS`, the table the closed forms read.
 
 Two simulation modes:
 
@@ -62,8 +62,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .analytic import fringe_visibility, local_intensity
-from .optics import PathTag, detector_path_coefficients
+from .analytic import fringe_visibility, local_intensity, pairing_rate
 
 #: most slots a classical run draws jitter stamps for at once
 CHUNK_SIZE = 32768
@@ -87,10 +86,6 @@ _PATTERN_FIRES = np.array([[k in fired for k in DETECTORS]
 #: numpy draws counts as int64, so no run may hold more pairs
 _MAX_PAIRS = 2**63 - 1
 
-#: each outcome's two detectors as indices into DETECTORS
-_I, _J = np.array(OUTCOMES).T - 1
-
-_SQRT2 = math.sqrt(2.0)
 _MODES = ("amplitude", "classical")
 
 
@@ -170,56 +165,6 @@ def sample_detuning(rng, sigma_f, size) -> np.ndarray:
     return rng.normal(0.0, sigma_f, size)
 
 
-def _complex_product(a, b) -> np.ndarray:
-    """a * b for complex arrays, formed from real products as Python forms it.
-
-    numpy's complex multiply loops may fuse one of the two real products
-    into the other (a fused multiply-add), so their result can differ in
-    the last bit from the plain product, and the two pairing terms of a
-    suppressed outcome would no longer cancel exactly.
-    """
-    a, b = np.asarray(a), np.asarray(b)
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
-
-
-def pair_amplitudes(delta_f, tau1, tau2, global_phase, paths) -> np.ndarray:
-    """Joint two-photon amplitude of each outcome for one pair on given arms.
-
-    ``paths`` is the (photon 1, photon 2) pair of :class:`PathTag`s.  Each
-    photon, conditioned on its arm, reaches detector k with the bench
-    coefficient for that arm (renormalized by sqrt(2): one arm holds half
-    the single-photon norm).  The unordered outcome (Di, Dj) gets the
-    exchange-symmetrized pairing sum; the shared global phase multiplies
-    both photons and cancels in every probability.  The parameters are
-    scalars or equal-shape arrays, one pair per entry; the result holds
-    the outcomes of :data:`OUTCOMES` on axis 0, then the sample shape.
-    """
-    coeffs = detector_path_coefficients(delta_f, tau1, tau2)
-    common = np.exp(1j * global_phase)
-    psi_1, psi_2 = (_complex_product(_SQRT2 * coeffs[path], common)
-                    for path in paths)
-    return (_complex_product(psi_1[_I], psi_2[_J])
-            + _complex_product(psi_1[_J], psi_2[_I]))
-
-
-def outcome_probabilities(joint_amplitudes: np.ndarray) -> np.ndarray:
-    """Normalized probability of each unordered detector outcome.
-
-    Takes and returns arrays over :data:`OUTCOMES` on axis 0.  Double
-    occupations carry the bosonic weight |A|^2 / 2 (the pairing sum
-    double-counts the identical-mode term); the total over all outcomes
-    then normalizes to one, per pair for array amplitudes.
-    """
-    weights = np.abs(joint_amplitudes) ** 2
-    weights[_I == _J] /= 2.0
-    # Python's sum adds the outcomes one after another, so a scalar pair
-    # and each entry of an array of pairs normalize alike
-    return weights / sum(weights)
-
-
 @functools.cache
 def outcome_probability_table(cross_path: bool) -> np.ndarray:
     """Outcome probabilities over :data:`OUTCOMES` for one path class.
@@ -227,14 +172,20 @@ def outcome_probability_table(cross_path: bool) -> np.ndarray:
     The class is the cross-path arm pairs (UD, DU) or the same-path ones
     (UU, DD); the two arm pairs of a class give the same table.  The
     detuning, the delays and the optical phase enter the pairing sums
-    only as unit-modulus factors, so one evaluation of
-    :func:`pair_amplitudes` at zero stands for every pair of the class;
-    there every suppressed outcome cancels to an exact 0.0.  Each table
-    is therefore built once per process; every caller gets the same
-    read-only array.
+    only as unit-modulus factors, so each outcome's probability is its
+    :func:`cohom.analytic.pairing_rate` over the arm coefficients of
+    :data:`cohom.analytic.PORT_COEFFS`, halved for a double hit (the
+    pairing sum counts the identical-mode term twice), then normalized.
+    Every step is exact in floating point, so the tables are exact
+    dyadics and every suppressed outcome is an exact 0.0.  Each table
+    is built once per process; every caller gets the same read-only
+    array.
     """
-    paths = (PathTag.U, PathTag.D) if cross_path else (PathTag.U, PathTag.U)
-    table = outcome_probabilities(pair_amplitudes(0.0, 0.0, 0.0, 0.0, paths))
+    # photon 1 on the up arm (0), photon 2 on the down arm (1) or the up one
+    arm_2 = 1 if cross_path else 0
+    weights = np.array([pairing_rate(i, j, 0, arm_2) / (2.0 if i == j else 1.0)
+                        for i, j in OUTCOMES])
+    table = weights / weights.sum()
     table.setflags(write=False)
     return table
 

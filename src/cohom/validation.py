@@ -16,6 +16,14 @@ on a 45-point grid of click-pattern tables.  ``analytic-coincidence-zero``
 walks its 50x50x50 grid in slabs of 5 detunings by 50x50 delays, so the
 suite never holds the whole grid.  A NaN in any sample makes its
 check's ``measured`` NaN, so the check fails.
+
+``outcome-table`` is the engine's independent reference for amplitude
+mode.  The engine builds its two outcome tables from the port
+coefficients of :mod:`cohom.analytic`; the check's oracle,
+:func:`pair_amplitudes` and :func:`outcome_probabilities`, propagates
+each photon through the optics element pipeline
+(:func:`cohom.optics.detector_path_coefficients`) at random detunings,
+delays and phases and forms the pairing sums from what arrives.
 """
 
 from __future__ import annotations
@@ -40,12 +48,11 @@ from .analytic import (
 )
 from .montecarlo import (
     CLICK_PATTERNS,
+    OUTCOMES,
     RunConfig,
     click_pattern_table,
     g2_estimate,
-    outcome_probabilities,
     outcome_probability_table,
-    pair_amplitudes,
     sample_detuning,
     scan_tau21,
     simulate_run,
@@ -56,6 +63,7 @@ from .optics import (
     Polarization,
     bench_detector_fields,
     bs_transform,
+    detector_path_coefficients,
     detune_phase,
     from_jones,
     hwp_transform,
@@ -197,6 +205,65 @@ def check_amplitude_singles() -> CheckResult:
     z = _worst(*(abs(counts.singles[k] - n / 2.0) / se for k in (1, 2, 3, 4)))
     return _result("amplitude-singles", z, 5.0,
                    "singles distance to n/2 in standard errors")
+
+
+#: each outcome's two detectors as indices into the detector axis
+_I, _J = np.array(OUTCOMES).T - 1
+
+_SQRT2 = math.sqrt(2.0)
+
+
+def _complex_product(a, b) -> np.ndarray:
+    """a * b for complex arrays, formed from real products as Python forms it.
+
+    numpy's complex multiply loops may fuse one of the two real products
+    into the other (a fused multiply-add), so their result can differ in
+    the last bit from the plain product, and the two pairing terms of a
+    suppressed outcome would no longer cancel exactly.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def pair_amplitudes(delta_f, tau1, tau2, global_phase, paths) -> np.ndarray:
+    """Joint two-photon amplitude of each outcome for one pair on given arms.
+
+    The element-pipeline oracle of ``outcome-table``.  ``paths`` is the
+    (photon 1, photon 2) pair of :class:`PathTag`s.  Each photon,
+    conditioned on its arm, reaches detector k with the coefficient
+    :func:`cohom.optics.detector_path_coefficients` gives for that arm
+    (renormalized by sqrt(2): one arm holds half the single-photon
+    norm).  The unordered outcome (Di, Dj) gets the exchange-symmetrized
+    pairing sum; the shared global phase multiplies both photons and
+    cancels in every probability.  The parameters are scalars or
+    equal-shape arrays, one pair per entry; the result holds the
+    outcomes of :data:`cohom.montecarlo.OUTCOMES` on axis 0, then the
+    sample shape.
+    """
+    coeffs = detector_path_coefficients(delta_f, tau1, tau2)
+    common = np.exp(1j * global_phase)
+    psi_1, psi_2 = (_complex_product(_SQRT2 * coeffs[path], common)
+                    for path in paths)
+    return (_complex_product(psi_1[_I], psi_2[_J])
+            + _complex_product(psi_1[_J], psi_2[_I]))
+
+
+def outcome_probabilities(joint_amplitudes: np.ndarray) -> np.ndarray:
+    """Normalized probability of each unordered detector outcome.
+
+    Takes and returns arrays over :data:`cohom.montecarlo.OUTCOMES` on
+    axis 0.  Double occupations carry the bosonic weight |A|^2 / 2 (the
+    pairing sum double-counts the identical-mode term); the total over
+    all outcomes then normalizes to one, per pair for array amplitudes.
+    """
+    weights = np.abs(joint_amplitudes) ** 2
+    weights[_I == _J] /= 2.0
+    # Python's sum adds the outcomes one after another, so a scalar pair
+    # and each entry of an array of pairs normalize alike
+    return weights / sum(weights)
 
 
 def check_outcome_table() -> CheckResult:

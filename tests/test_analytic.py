@@ -15,7 +15,7 @@ import pytest
 from scipy import integrate
 
 from cohom.analytic import (
-    _PORT_COEFFS,
+    PORT_COEFFS,
     _PORT_SIGN,
     ComboClass,
     PairMark,
@@ -63,7 +63,7 @@ class TestPortFields:
     def test_table_is_pipeline_at_origin(self):
         """The closed forms' one table is the pipeline at zero offset."""
         coeff = detector_path_coefficients(0.0, 0.0, 0.0)
-        for k, (up, down) in _PORT_COEFFS.items():
+        for k, (up, down) in PORT_COEFFS.items():
             assert abs(up - SQRT2 * coeff[PathTag.U][k - 1]) < 1e-15
             assert abs(down - SQRT2 * coeff[PathTag.D][k - 1]) < 1e-15
         assert _PORT_SIGN == {1: 1.0, 2: -1.0, 3: -1.0, 4: 1.0}
@@ -79,7 +79,7 @@ class TestPortFields:
             tau1, tau2 = rng.uniform(0, 4e-6, size=2)
             up_phase = cmath.exp(1j * delta_f * (tau1 + tau2))
             coeff = detector_path_coefficients(delta_f, tau1, tau2)
-            for k, (up, down) in _PORT_COEFFS.items():
+            for k, (up, down) in PORT_COEFFS.items():
                 got_up = SQRT2 * coeff[PathTag.U][k - 1]
                 got_down = SQRT2 * coeff[PathTag.D][k - 1]
                 assert abs(up * up_phase - got_up) < 1e-12

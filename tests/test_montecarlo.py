@@ -16,6 +16,7 @@ classes is checked against the class-split draw it replaces.
 import math
 import threading
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cohom.montecarlo
+import cohom.optics
 from cohom.analytic import fringe_visibility, local_intensity
 from cohom.montecarlo import (
     CLICK_PATTERNS,
@@ -38,14 +40,13 @@ from cohom.montecarlo import (
     click_pattern_table,
     detector_convolve,
     g2_estimate,
-    outcome_probabilities,
     outcome_probability_table,
-    pair_amplitudes,
     sample_detuning,
     scan_tau21,
     simulate_run,
 )
 from cohom.optics import PathTag
+from cohom.validation import outcome_probabilities, pair_amplitudes
 
 # The HOM pairs cancel bitwise-exactly (their two pairing terms are exact
 # i-rotations of each other through one splitter); the cross-polarization
@@ -357,30 +358,56 @@ class TestOutcomeTable:
         for cross_path in (True, False):
             table = outcome_probability_table(cross_path)
             assert table.shape == (len(OUTCOMES),)
-            assert abs(table.sum() - 1.0) < 1e-12
+            assert table.sum() == 1.0
         cross = dict(zip(OUTCOMES, outcome_probability_table(True)))
         for pair in ANTICORRELATED:
             assert cross[pair] == 0.0
 
     def test_pinned_bit_for_bit(self):
-        # amplitude counts are drawn from these exact floats, rounding
-        # residue included, so a change of math library or of the element
-        # arithmetic must not move a single bit unnoticed
+        # amplitude counts are drawn from these exact floats, so a change
+        # of the coefficient table or of the table build must not move a
+        # single bit unnoticed
         pinned = {
-            True: ("0x1.0000000000002p-3", "0x0.0p+0", "0x0.0p+0",
-                   "0x1.0000000000000p-2", "0x1.ffffffffffffcp-4",
+            True: ("0x1.0000000000000p-3", "0x0.0p+0", "0x0.0p+0",
+                   "0x1.0000000000000p-2", "0x1.0000000000000p-3",
                    "0x1.0000000000000p-2", "0x0.0p+0",
-                   "0x1.0000000000002p-3", "0x0.0p+0",
-                   "0x1.ffffffffffffcp-4"),
-            False: ("0x1.0000000000002p-4", "0x1.0000000000000p-3",
-                    "0x1.0000000000002p-3", "0x1.0000000000000p-3",
-                    "0x1.ffffffffffffcp-5", "0x1.0000000000000p-3",
-                    "0x1.ffffffffffffcp-4", "0x1.0000000000002p-4",
-                    "0x1.0000000000000p-3", "0x1.ffffffffffffcp-5"),
+                   "0x1.0000000000000p-3", "0x0.0p+0",
+                   "0x1.0000000000000p-3"),
+            False: ("0x1.0000000000000p-4", "0x1.0000000000000p-3",
+                    "0x1.0000000000000p-3", "0x1.0000000000000p-3",
+                    "0x1.0000000000000p-4", "0x1.0000000000000p-3",
+                    "0x1.0000000000000p-3", "0x1.0000000000000p-4",
+                    "0x1.0000000000000p-3", "0x1.0000000000000p-4"),
         }
         for cross_path, entries in pinned.items():
             table = outcome_probability_table(cross_path)
             assert tuple(float(p).hex() for p in table) == entries
+
+    @pytest.mark.parametrize("cross_path, exact", [
+        (True, ("1/8", "0", "0", "1/4", "1/8", "1/4", "0", "1/8", "0",
+                "1/8")),
+        (False, ("1/16", "1/8", "1/8", "1/8", "1/16", "1/8", "1/8",
+                 "1/16", "1/8", "1/16")),
+    ])
+    def test_equals_exact_fractions(self, cross_path, exact):
+        table = outcome_probability_table(cross_path)
+        assert [Fraction(p) for p in table] == [Fraction(e) for e in exact]
+
+    @pytest.mark.parametrize("paths", ARM_PAIRS)
+    def test_element_pipeline_at_origin_agrees(self, paths):
+        # the optics pipeline, an independent derivation of the same
+        # coefficients, at zero detuning, delays and phase
+        table = outcome_probability_table(paths[0] is not paths[1])
+        probs = outcome_probabilities(pair_amplitudes(0.0, 0.0, 0.0, 0.0,
+                                                      paths))
+        assert np.max(np.abs(probs - table)) < 1e-15
+
+    def test_engine_binds_nothing_from_optics(self):
+        # the engine reads its coefficients from cohom.analytic only
+        bound = [name for name, value in vars(cohom.montecarlo).items()
+                 if value is cohom.optics
+                 or getattr(value, "__module__", None) == "cohom.optics"]
+        assert bound == []
 
     def test_built_once_per_process(self):
         for cross_path in (True, False):

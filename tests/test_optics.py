@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohom.montecarlo import outcome_probabilities, pair_amplitudes
 from cohom.optics import (
     PathAssignmentError,
     PathTag,
@@ -26,6 +25,7 @@ from cohom.optics import (
     vacuum,
     with_path,
 )
+from cohom.validation import outcome_probabilities, pair_amplitudes
 
 SQRT2 = math.sqrt(2.0)
 

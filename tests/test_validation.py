@@ -12,7 +12,7 @@ import pytest
 import cohom.validation
 from cohom.analytic import ensemble_intensity, local_intensity
 from cohom.cli import render_report
-from cohom.montecarlo import OUTCOMES, click_pattern_table, pair_amplitudes
+from cohom.montecarlo import OUTCOMES, click_pattern_table
 from cohom.optics import PathTag, bench_detector_fields
 from cohom.validation import (
     CHECKS,
@@ -25,6 +25,7 @@ from cohom.validation import (
     check_intensity_consistency,
     check_outcome_table,
     check_stage_composition,
+    pair_amplitudes,
     run_validation,
 )
 
