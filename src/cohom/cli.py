@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import math
 import os
 import sys
@@ -51,6 +52,9 @@ def _emit(text: str, out_path) -> None:
     failed write, or flush of stdout, raises BenchIOError naming its target.
     """
     if out_path is None:
+        if sys.stdout is None:  # descriptor 1 was closed at start-up
+            raise BenchIOError(
+                f"<stdout>: {OSError(errno.EBADF, os.strerror(errno.EBADF))}")
         try:
             sys.stdout.write(text)
             sys.stdout.flush()
@@ -79,9 +83,11 @@ def _emit(text: str, out_path) -> None:
 
 
 def _path(text: str) -> str:
-    """A file argument; an empty path names no file."""
-    if not text:
-        raise argparse.ArgumentTypeError("must name a file, not ''")
+    """A file argument.  A path that is empty, or whose last component is
+    empty, ``.`` or ``..``, names no file; ``_emit`` would resolve
+    ``out/`` and ``out/.`` to ``out`` and replace a file of that name."""
+    if os.path.basename(text) in ("", os.curdir, os.pardir):
+        raise argparse.ArgumentTypeError(f"must name a file, not {text!r}")
     return text
 
 
@@ -91,6 +97,14 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise ConfigParseError(message)
+
+    def parse_args(self, args=None, namespace=None):
+        parsed = super().parse_args(args, namespace)
+        # before Python 3.13 argparse reads '--opt=--' as an empty list
+        for name, value in vars(parsed).items():
+            if value == []:
+                setattr(parsed, name, "--")
+        return parsed
 
 
 def _progress(args):

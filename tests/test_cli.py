@@ -1,17 +1,20 @@
 """Command-line behavior: exit codes, formats, seeds, stream separation."""
 
+import argparse
 import contextlib
 import csv
 import io
 import json
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
 import tempfile
 import threading
 import warnings
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import pytest
@@ -80,10 +83,12 @@ def main(argv) -> int:
 
 def _package_env() -> dict:
     """The environment with this checkout's package first on PYTHONPATH,
-    for running the CLI as a child process."""
+    for running the CLI as a child process; a RuntimeWarning is an error
+    there too."""
     src = str(Path(cohom.__file__).resolve().parents[1])
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning",
+                PYTHONPATH=os.pathsep.join(
+                    filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 @pytest.fixture
@@ -167,35 +172,330 @@ class TestTables:
         assert payload == pair_chart().to_dict()
 
 
-class TestStrictCsv:
-    """Every CSV output reads back with csv.reader as a rectangle."""
+def _strict_json(text: str):
+    """``text`` read as JSON; a NaN or Infinity literal fails the read."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
 
-    @staticmethod
-    def read(capsys, argv) -> list:
-        assert main(argv) == 0
-        rows = list(csv.reader(capsys.readouterr().out.splitlines()))
-        assert len(rows) >= 2
+    return json.loads(text, parse_constant=reject)
+
+
+@dataclass(frozen=True)
+class Csv:
+    """Strict CSV: ``csv.reader`` reads a header and ``rows`` rows, each
+    as wide as the header."""
+    rows: int
+
+
+@dataclass(frozen=True)
+class Json:
+    """Strict JSON, as ``_strict_json`` reads it."""
+
+
+@dataclass(frozen=True)
+class Same:
+    """The stdout of the case named ``name``, byte for byte; with
+    ``mask_clock``, but for the manifest's ``wall_clock_s``."""
+    name: str
+    mask_clock: bool = False
+
+
+class Prefix(str):
+    """The start of a case's stderr, where the rest of the line is not the
+    program's own text (argparse's, or the operating system's)."""
+
+
+@dataclass
+class Case:
+    """One ``cohom`` invocation and what it must print.
+
+    ``files`` (name: text or bytes) are written into the otherwise empty
+    directory the case runs in, and ``env`` is set in an environment
+    without COHOM_SEED.  ``out`` is a ``Csv``, ``Json`` or ``Same`` check,
+    or the exact stdout; ``err`` is the exact stderr or a ``Prefix`` of it.
+    """
+    name: str
+    argv: tuple
+    out: object = ""
+    err: str = ""
+    code: int = 0
+    files: dict = field(default_factory=dict)
+    env: dict = field(default_factory=dict)
+
+
+def _with_mode(text: str, mode: str) -> str:
+    return text + f"mode = {mode}\n"
+
+
+POINT = {"point.cfg": POINT_CFG}
+SCAN = {"scan.cfg": SCAN_CFG}
+#: 2e5 classical slots at mu = 1, whose 3-click slots fill more than one
+#: jitter-stamp block
+MU1 = {"point.cfg": _with_mode(POINT_CFG.replace(
+    "n_pairs = 20000", "n_pairs = 200000\nmean_photon_number = 1"),
+    "classical")}
+SIMULATE = ("simulate", "--config", "point.cfg", "--quiet")
+AS_JSON = ("--format", "json")
+
+
+def _rejected(name, argv, err, files=POINT, env=None) -> Case:
+    return Case(name, argv, err=err, code=2, files=files, env=env or {})
+
+
+def _bad_config(name, text, err, command="simulate") -> Case:
+    return _rejected(name, (command, "--config", "bad.cfg", "--quiet"), err,
+                     files={"bad.cfg": text})
+
+
+def _seed_rejected(name, source, value, err) -> Case:
+    if source == "--seed":
+        return _rejected(f"seed-flag-{name}", (*SIMULATE, "--seed", value),
+                         f"error: --seed: {err}\n")
+    return _rejected(f"seed-env-{name}", SIMULATE,
+                     f"error: COHOM_SEED: {err}\n", env={"COHOM_SEED": value})
+
+
+#: every command's checked outputs, and every way a run is rejected
+CASES = [
+    Case(f"{command}-{fmt}", (command, "--quiet", "--format", fmt),
+         Csv(rows) if fmt == "csv" else Json())
+    for command, rows in (("enumerate", 16), ("chart", 4), ("validate", 19))
+    for fmt in ("csv", "json")
+]
+# each result table reads back strictly, and a rerun writes the same
+# bytes (a JSON one but for the wall clock)
+for mode in ("amplitude", "classical"):
+    for command, config, text, rows in (
+            ("simulate", "point.cfg", POINT_CFG, 1),
+            ("analytic", "scan.cfg", SCAN_CFG, 5),
+            ("scan", "scan.cfg", SCAN_CFG, 5)):
+        argv = (command, "--config", config, "--quiet")
+        files = {config: _with_mode(text, mode)}
+        run = f"{command}-{mode}"
+        CASES += [
+            Case(f"{run}-csv", argv, Csv(rows), files=files),
+            Case(f"{run}-csv-rerun", argv, Same(f"{run}-csv"), files=files),
+            Case(f"{run}-json", (*argv, *AS_JSON), Json(), files=files),
+            Case(f"{run}-json-rerun", (*argv, *AS_JSON),
+                 Same(f"{run}-json", mask_clock=True), files=files),
+        ]
+CASES += [
+    Case("classical-mu1-csv", SIMULATE, Csv(1), files=MU1),
+    Case("classical-mu1-csv-rerun", SIMULATE, Same("classical-mu1-csv"),
+         files=MU1),
+    # a classical spread whose multiples overflow a float, at zero delay
+    Case("classical-sigma-f-1e307", SIMULATE, Csv(1), files={
+        "point.cfg": _with_mode(POINT_CFG.replace("2.5e5", "1e307").replace(
+            "1e-6", "0"), "classical")}),
+    # jitter stamps whose differences overflow
+    Case("classical-pulse-sigma-1e308", SIMULATE, Csv(1), files={
+        "point.cfg": "[run]\nmode = classical\n[source]\n"
+                     "mean_photon_number = 1\n[detector]\n"
+                     "pulse_sigma_s = 1e308\n[bench]\nsigma_f_hz = 2.5e5\n"
+                     "tau1_s = 1e-6\ntau2_s = 1e-6\n"}),
+    # the file, COHOM_SEED and --seed read one integer grammar
+    Case("seed-file", ("simulate", "--config", "seeded.cfg", "--quiet"),
+         Csv(1), files={"seeded.cfg": POINT_CFG.replace("42", "1e3")}),
+    Case("seed-env", SIMULATE, Same("seed-file"), files=POINT,
+         env={"COHOM_SEED": "1e3"}),
+    Case("seed-flag", (*SIMULATE, "--seed", "1e3"), Same("seed-file"),
+         files=POINT),
+    Case("seed-flag-digits", (*SIMULATE, "--seed", "1000"),
+         Same("seed-file"), files=POINT),
+    _seed_rejected("letters", "COHOM_SEED", "abc", "not an integer: 'abc'"),
+    _seed_rejected("control-character", "COHOM_SEED", "5\x01",
+                   "not an integer: '5\\x01'"),
+    _seed_rejected("bare-prefix", "--seed", "0x", "not an integer: '0x'"),
+    _rejected("seed-flag-dashes", (*SIMULATE, "--seed=--"),
+              "error: --seed: not an integer: '--'\n"),
+    *(_seed_rejected("negative", source, "-1",
+                     "must be a non-negative integer")
+      for source in ("--seed", "COHOM_SEED")),
+    *(_seed_rejected(name, source, text, f"not an integer: {text!r}")
+      for name, text in (("fullwidth", "\uff11\uff10"),
+                         ("arabic-indic", "\u0663"))
+      for source in ("--seed", "COHOM_SEED")),
+    _bad_config("config-seed-negative", POINT_CFG.replace("42", "-1"),
+                "error: line 10, column 8: seed: must be a non-negative "
+                "integer\n"),
+    _rejected("analytic-seed", ("analytic", "--config", "scan.cfg", "--seed",
+                                "3"),
+              "error: unrecognized arguments: --seed 3\n", files=SCAN),
+    # a config of the wrong kind for its command
+    _rejected("analytic-point-config", ("analytic", "--config", "point.cfg",
+                                        "--quiet"),
+              "error: this command scans tau21; the config must set the "
+              "tau21_scan_* keys instead of tau2_s\n"),
+    _rejected("simulate-scan-config", ("simulate", "--config", "scan.cfg",
+                                       "--quiet"),
+              "error: this command runs a single point; the config must set "
+              "tau2_s, not the tau21_scan_* keys\n", files=SCAN),
+    # every malformed config is rejected where it is written
+    _rejected("config-missing", ("simulate", "--config", "no.cfg", "--quiet"),
+              "error: no.cfg: [Errno 2] No such file or directory: "
+              "'no.cfg'\n", files={}),
+    _rejected("config-dashes", ("simulate", "--config=--", "--quiet"),
+              "error: --: [Errno 2] No such file or directory: '--'\n"),
+    _bad_config("config-unknown-key", "[run]\ncolour = red\n",
+                "error: line 2, column 1: unknown key 'colour' in [run]\n"),
+    *(_bad_config(f"config-sigma-f-{value}", POINT_CFG.replace("2.5e5", value),
+                  "error: line 2, column 14: sigma_f = 2*pi * sigma_f_hz: "
+                  "must be finite and >= 0\n")
+      # 2*pi * 1.7e308 overflows though sigma_f_hz is finite
+      for value in ("-1", "1.7e308")),
+    *(_bad_config(f"config-n-pairs-{value}",
+                  POINT_CFG.replace("20000", value),
+                  f"error: line 7, column 11: {err}\n")
+      for value, err in [
+          *((v, f"not an integer: {v!r}") for v in ("inf", "nan", "1e400",
+                                                     "-inf")),
+          (str(2**63), "n_pairs: must be an integer in [1, 2**63 - 1]")]),
+    _bad_config("config-not-utf8", b"[bench]\nsigma_f_hz = 2.5e5\xff\n",
+                "error: line 2, column 19: not UTF-8: byte 0xff\n"),
+    # the form feed and NEL before the bad byte break no line
+    _bad_config("config-not-utf8-line-count",
+                b"[bench]\r\n# a\x0c b\xc2\x85 c\nsigma_f_hz = \xff\n",
+                "error: line 3, column 14: not UTF-8: byte 0xff\n"),
+    _bad_config("config-line-break",
+                "[bench]\nsigma_f_hz = 2.5e5\x0cx\ntau1_s = 1e-6\n",
+                "error: line 2, column 19: line break '\\x0c' inside a line; "
+                "config lines end at '\\n'\n"),
+    _bad_config("config-control-character",
+                "[bench]\nsigma_f_hz = 1e6\x1f\ntau1_s = 1e-6\n",
+                "error: line 2, column 17: control character '\\x1f' in a "
+                "line\n"),
+]
+for command in ("analytic", "scan"):
+    CASES += [
+        *(_bad_config(f"{command}-{key}-{value}", re.sub(
+            f"(?m)^{key} = .*$", f"{key} = {value}", SCAN_CFG),
+            f"error: {where}: tau2 = tau1_s + {key}: must be finite and "
+            f">= 0\n", command)
+          for key, value, where in [
+              ("tau21_scan_start_s", "nan", "line 4, column 22"),
+              ("tau21_scan_stop_s", "nan", "line 5, column 21"),
+              ("tau21_scan_stop_s", "inf", "line 5, column 21"),
+              ("tau21_scan_start_s", "-inf", "line 4, column 22"),
+              ("tau21_scan_stop_s", "-5e-6", "line 5, column 21")]),
+        # tau2 = tau1 + stop overflows; every point used to run, the last
+        # one at tau2 = inf
+        *(_bad_config(f"{command}-tau2-overflow-from-{start}", SCAN_CFG
+                      .replace("tau1_s = 1e-6", "tau1_s = 1e308")
+                      .replace("start_s = -1e-6", f"start_s = {start}")
+                      .replace("stop_s = 1e-6", "stop_s = 1e308"),
+                      "error: line 5, column 21: tau2 = tau1_s + "
+                      "tau21_scan_stop_s: must be finite and >= 0\n", command)
+          for start in ("0", "-1e308")),
+        _bad_config(f"{command}-huge-steps",
+                    SCAN_CFG.replace("steps = 5", "steps = 1000000000000"),
+                    "error: line 6, column 20: scan steps must be <= "
+                    "1000000\n", command),
+    ]
+CASES += [
+    # usage errors
+    *(_rejected(f"usage-{argv[0] if argv else 'no-command'}", argv,
+                Prefix(err))
+      for argv, err in [
+          (("enumerate", "--format", "xml"),
+           "error: argument --format: invalid choice: 'xml'"),
+          (("frobnicate",), "error: argument command: invalid choice: "
+                            "'frobnicate'"),
+          ((), "error: the following arguments are required: command"),
+          (("simulate",), "error: the following arguments are required: "
+                          "--config"),
+          (("chart", "--seed", "3"), "error: unrecognized arguments: "
+                                     "--seed 3")]),
+    # a path that names no file is rejected before anything runs, and a
+    # failed write leaves every file as it was
+    _rejected("config-path-empty", ("simulate", "--config", "", "--quiet"),
+              "error: argument --config: must name a file, not ''\n"),
+    _rejected("config-path-dir", ("simulate", "--config", "point.cfg/",
+                                  "--quiet"),
+              "error: argument --config: must name a file, not "
+              "'point.cfg/'\n"),
+    *(_rejected(f"out-path-{name}", ("validate", "--quiet", "--out", target),
+                f"error: argument --out: must name a file, not {target!r}\n",
+                files={"f": "hi\n"})
+      for name, target in (("empty", ""), ("file-slash", "f/"),
+                           ("file-dot", "f/."), ("missing-dir", "nodir/"))),
+    _rejected("out-unwritable", ("enumerate", "--out", "nodir/x.csv"),
+              Prefix("error: nodir/x.csv: [Errno 2] No such file or "
+                     "directory")),
+]
+CASE_BY_NAME = {case.name: case for case in CASES}
+
+
+def _tree(root: Path) -> dict:
+    """Every file (its bytes) and directory (None) under ``root``."""
+    return {str(path.relative_to(root)):
+            path.read_bytes() if path.is_file() else None
+            for path in root.rglob("*")}
+
+
+def run_case(case: Case, root: Path, capsys, monkeypatch) -> str:
+    """``case`` run by ``cohom.cli.main`` in a directory of its own under
+    ``root``: checks its exit code and stderr, and the rules every case
+    keeps, and returns its stdout."""
+    work = root / case.name / "work"
+    work.mkdir(parents=True)
+    for name, data in case.files.items():
+        (work / name).write_bytes(
+            data if isinstance(data, bytes) else data.encode())
+    before = _tree(work.parent)
+    with monkeypatch.context() as patch:
+        patch.chdir(work)
+        patch.delenv("COHOM_SEED", raising=False)
+        for key, value in case.env.items():
+            patch.setenv(key, value)
+        code = main(list(case.argv))  # one error: line on exit 2
+    out, err = capsys.readouterr()
+    assert code == case.code, err
+    assert "Traceback" not in err and "Exception ignored" not in err, err
+    if code == 0 and "--quiet" in case.argv:
+        assert err == ""
+    assert (err.startswith(case.err) if isinstance(case.err, Prefix)
+            else err == case.err), err
+    # nor beside it: --out '' once wrote its temporary file there
+    assert _tree(work.parent) == before
+    return out
+
+
+def _mask_clock(text: str) -> str:
+    return re.sub(r'"wall_clock_s": [^,\n]*', '"wall_clock_s": 0', text)
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda case: case.name)
+def test_cli_case(case, tmp_path, capsys, monkeypatch):
+    out = run_case(case, tmp_path, capsys, monkeypatch)
+    if isinstance(case.out, Csv):
+        rows = list(csv.reader(io.StringIO(out, newline="")))
+        assert len(rows) == case.out.rows + 1
         assert all(len(row) == len(rows[0]) for row in rows)
-        return rows
+    elif isinstance(case.out, Json):
+        _strict_json(out)
+    elif isinstance(case.out, Same):
+        other = run_case(CASE_BY_NAME[case.out.name], tmp_path, capsys,
+                         monkeypatch)
+        if case.out.mask_clock:
+            out, other = _mask_clock(out), _mask_clock(other)
+        assert out == other
+    else:
+        assert out == case.out
 
-    @pytest.mark.parametrize("command", ["enumerate", "chart"])
-    def test_tables(self, capsys, command):
-        self.read(capsys, [command])
 
-    def test_validate_detail_reads_back_whole(self, capsys):
-        rows = self.read(capsys, ["validate", "--quiet"])
-        details = {row[0]: row[4] for row in rows[1:]}
-        assert "," in check_outcome_table().detail
-        assert details["outcome-table"] == check_outcome_table().detail
+def test_every_command_is_read_strictly_in_both_formats():
+    # so that an edit of the table cannot drop a command's format unseen
+    def fmt(argv):
+        return (argv[argv.index("--format") + 1] if "--format" in argv
+                else "csv")
 
-    @pytest.mark.parametrize("mode", ["amplitude", "classical"])
-    @pytest.mark.parametrize("command", ["analytic", "simulate", "scan"])
-    def test_result_tables(self, capsys, tmp_path, command, mode):
-        path = tmp_path / "run.cfg"
-        text = POINT_CFG if command == "simulate" else SCAN_CFG
-        path.write_text(text.replace("[run]", f"[run]\nmode = {mode}"))
-        rows = self.read(capsys, [command, "--config", str(path), "--quiet"])
-        assert len(rows) == (2 if command == "simulate" else 6)
+    commands, = (action.choices for action in cli.build_parser()._actions
+                 if isinstance(action, argparse._SubParsersAction))
+    assert len(CASE_BY_NAME) == len(CASES)
+    reads = {(case.argv[0], fmt(case.argv), type(case.out))
+             for case in CASES if isinstance(case.out, (Csv, Json))}
+    assert {(command, *kind) for command in commands
+            for kind in (("csv", Csv), ("json", Json))} <= reads
 
 
 class TestAnalytic:
@@ -209,23 +509,8 @@ class TestAnalytic:
             assert i1 + i3 == pytest.approx(1.0, abs=1e-11)
             assert cells[5] == "0" and cells[6] == "0"  # R13, R24
 
-    def test_point_config_rejected(self, point_cfg, capsys):
-        assert main(["analytic", "--config", point_cfg, "--quiet"]) == 2
-        assert "tau21_scan_" in capsys.readouterr().err
-
-    def test_takes_no_seed(self, scan_cfg, capsys):
-        assert main(["analytic", "--config", scan_cfg, "--seed", "3"]) == 2
-        assert capsys.readouterr().err == (
-            "error: unrecognized arguments: --seed 3\n")
-
 
 class TestSimulateAndScan:
-    def test_same_seed_byte_identical(self, point_cfg, capsys):
-        assert main(["simulate", "--config", point_cfg, "--quiet"]) == 0
-        first = capsys.readouterr().out
-        assert main(["simulate", "--config", point_cfg, "--quiet"]) == 0
-        assert capsys.readouterr().out == first
-
     def test_scan_rows_and_rerun(self, scan_cfg, capsys):
         assert main(["scan", "--config", scan_cfg, "--quiet"]) == 0
         first = capsys.readouterr().out
@@ -235,10 +520,6 @@ class TestSimulateAndScan:
             -1e-6, -5e-7, 0.0, 5e-7, 1e-6]
         assert main(["scan", "--config", scan_cfg, "--quiet"]) == 0
         assert capsys.readouterr().out == first
-
-    def test_scan_config_rejected_by_simulate(self, scan_cfg, capsys):
-        assert main(["simulate", "--config", scan_cfg, "--quiet"]) == 2
-        assert "tau2_s" in capsys.readouterr().err
 
     def test_out_file(self, point_cfg, tmp_path, capsys):
         target = tmp_path / "run.csv"
@@ -257,12 +538,7 @@ class TestSimulateAndScan:
         code = main(["simulate", "--config", str(path), "--quiet",
                      "--format", "json"])
         assert code == 0
-
-        def reject(token):
-            raise ValueError(f"non-standard JSON token {token}")
-
-        row = json.loads(capsys.readouterr().out,
-                         parse_constant=reject)["rows"][0]
+        row = _strict_json(capsys.readouterr().out)["rows"][0]
         for key in ("g2_13", "g2_13_err", "g2_24", "g2_24_err"):
             assert row[key] is None
 
@@ -326,17 +602,6 @@ class TestSeedPrecedence:
         assert self.run_seed(point_cfg, capsys) == 99
         assert self.run_seed(point_cfg, capsys, ("--seed", "7")) == 7
 
-    def test_bad_env_seed(self, point_cfg, capsys, monkeypatch):
-        monkeypatch.setenv("COHOM_SEED", "lots")
-        assert main(["simulate", "--config", point_cfg, "--quiet"]) == 2
-        assert "COHOM_SEED" in capsys.readouterr().err
-
-    def test_bad_env_seed_escaped(self, point_cfg, capsys, monkeypatch):
-        monkeypatch.setenv("COHOM_SEED", "5\x01")
-        assert main(["simulate", "--config", point_cfg, "--quiet"]) == 2
-        assert capsys.readouterr().err == (
-            "error: COHOM_SEED: not an integer: '5\\x01'\n")
-
     @pytest.mark.parametrize("text, seed", [
         ("0x10", 16), ("010", 10), ("1_0", 10), ("1e3", 1000),
         ("09007199254740993", 9007199254740993)])
@@ -349,164 +614,8 @@ class TestSeedPrecedence:
         monkeypatch.setenv("COHOM_SEED", text)
         assert self.run_seed(point_cfg, capsys) == seed
 
-    def test_bad_flag_seed(self, point_cfg, capsys):
-        code = main(["simulate", "--config", point_cfg, "--quiet",
-                     "--seed", "0x"])
-        assert code == 2
-        assert capsys.readouterr().err == (
-            "error: --seed: not an integer: '0x'\n")
-
-    def test_negative_flag_seed(self, point_cfg, capsys):
-        code = main(["simulate", "--config", point_cfg, "--quiet",
-                     "--seed", "-1"])
-        assert code == 2
-        assert capsys.readouterr().err == (
-            "error: --seed: must be a non-negative integer\n")
-
-    def test_negative_env_seed(self, point_cfg, capsys, monkeypatch):
-        monkeypatch.setenv("COHOM_SEED", "-1")
-        assert main(["simulate", "--config", point_cfg, "--quiet"]) == 2
-        assert capsys.readouterr().err == (
-            "error: COHOM_SEED: must be a non-negative integer\n")
-
-    @pytest.mark.parametrize("text", ["\uff11\uff10", "\u0663"])
-    def test_non_ascii_seed_names_its_source(self, point_cfg, capsys,
-                                             monkeypatch, text):
-        assert main(["simulate", "--config", point_cfg, "--quiet",
-                     f"--seed={text}"]) == 2
-        assert capsys.readouterr().err == (
-            f"error: --seed: not an integer: {text!r}\n")
-        monkeypatch.setenv("COHOM_SEED", text)
-        assert main(["simulate", "--config", point_cfg, "--quiet"]) == 2
-        assert capsys.readouterr().err == (
-            f"error: COHOM_SEED: not an integer: {text!r}\n")
-
-    def test_negative_file_seed(self, tmp_path, capsys):
-        path = tmp_path / "bad.cfg"
-        path.write_text(POINT_CFG.replace("seed = 42", "seed = -1"))
-        assert main(["simulate", "--config", str(path), "--quiet"]) == 2
-        assert capsys.readouterr().err == (
-            "error: line 10, column 8: seed: must be a non-negative integer\n")
-
 
 class TestErrors:
-    def test_missing_config_file(self, tmp_path, capsys):
-        code = main(["simulate", "--config", str(tmp_path / "no.cfg"),
-                     "--quiet"])
-        assert code == 2
-        assert "no.cfg" in capsys.readouterr().err
-
-    def test_config_value_error(self, tmp_path, capsys):
-        path = tmp_path / "bad.cfg"
-        path.write_text(POINT_CFG.replace("2.5e5", "-1"))
-        assert main(["simulate", "--config", str(path), "--quiet"]) == 2
-        assert "sigma_f_hz" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("value", ["inf", "nan", "1e400", "-inf",
-                                       str(2**63)])
-    def test_unrepresentable_pair_count(self, tmp_path, capsys, value):
-        path = tmp_path / "bad.cfg"
-        path.write_text(POINT_CFG.replace("n_pairs = 20000",
-                                          f"n_pairs = {value}"))
-        assert main(["simulate", "--config", str(path), "--quiet"]) == 2
-        err = capsys.readouterr().err
-        assert "line 7, column 11" in err
-        assert "Traceback" not in err
-
-    @pytest.mark.parametrize("command", ["analytic", "scan"])
-    @pytest.mark.parametrize("key, value, where", [
-        ("tau21_scan_start_s", "nan", "line 4, column 22"),
-        ("tau21_scan_stop_s", "nan", "line 5, column 21"),
-        ("tau21_scan_stop_s", "inf", "line 5, column 21"),
-        ("tau21_scan_start_s", "-inf", "line 4, column 22"),
-        ("tau21_scan_stop_s", "-5e-6", "line 5, column 21"),
-    ])
-    def test_bad_scan_bound_positioned(self, tmp_path, capsys, command, key,
-                                       value, where):
-        lines = [f"{key} = {value}" if line.startswith(key) else line
-                 for line in SCAN_CFG.splitlines()]
-        path = tmp_path / "bad.cfg"
-        path.write_text("\n".join(lines) + "\n")
-        assert main([command, "--config", str(path), "--quiet"]) == 2
-        err = capsys.readouterr().err
-        assert where in err
-        assert "Traceback" not in err
-
-    @pytest.mark.parametrize("command", ["analytic", "scan"])
-    @pytest.mark.parametrize("start", ["0", "-1e308"])
-    def test_overflowing_scan_end_positioned(self, tmp_path, capsys, command,
-                                             start):
-        # tau2 = tau1 + stop overflows; every point used to run, the last
-        # one at tau2 = inf
-        path = tmp_path / "bad.cfg"
-        path.write_text(SCAN_CFG.replace("tau1_s = 1e-6", "tau1_s = 1e308")
-                        .replace("start_s = -1e-6", f"start_s = {start}")
-                        .replace("stop_s = 1e-6", "stop_s = 1e308"))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            assert main([command, "--config", str(path), "--quiet"]) == 2
-        assert capsys.readouterr().err == (
-            "error: line 5, column 21: tau2 = tau1_s + tau21_scan_stop_s: "
-            "must be finite and >= 0\n")
-
-    @pytest.mark.parametrize("command", ["analytic", "scan"])
-    def test_huge_scan_steps_positioned(self, tmp_path, capsys, command):
-        path = tmp_path / "bad.cfg"
-        path.write_text(SCAN_CFG.replace("tau21_scan_steps = 5",
-                                         "tau21_scan_steps = 1000000000000"))
-        assert main([command, "--config", str(path), "--quiet"]) == 2
-        err = capsys.readouterr().err
-        assert "line 6, column 20: scan steps must be <= 1000000" in err
-        assert "Traceback" not in err
-
-    def test_non_utf8_config_positioned(self, tmp_path):
-        # run as a script, so that a traceback would reach stderr
-        path = tmp_path / "bad.cfg"
-        path.write_bytes(b"[bench]\nsigma_f_hz = 2.5e5\xff\n")
-        proc = subprocess.run(
-            [sys.executable, "-m", "cohom.cli", "simulate", "--config",
-             str(path), "--quiet"],
-            env=_package_env(), capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 2
-        assert proc.stderr == (
-            "error: line 2, column 19: not UTF-8: byte 0xff\n")
-        assert "Traceback" not in proc.stderr
-
-    def test_stray_line_break_positioned(self, tmp_path, capsys):
-        path = tmp_path / "bad.cfg"
-        path.write_text("[bench]\nsigma_f_hz = 2.5e5\x0cx\ntau1_s = 1e-6\n")
-        assert main(["simulate", "--config", str(path), "--quiet"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: line 2, column 19: line break '\\x0c'")
-
-    def test_control_character_positioned(self, tmp_path, capsys):
-        path = tmp_path / "bad.cfg"
-        path.write_text("[bench]\nsigma_f_hz = 1e6\x1f\ntau1_s = 1e-6\n")
-        assert main(["simulate", "--config", str(path), "--quiet"]) == 2
-        assert capsys.readouterr().err == (
-            "error: line 2, column 17: control character '\\x1f' in a line\n")
-
-    def test_non_utf8_line_counts_only_newlines(self, tmp_path, capsys):
-        # the form feed and NEL before the bad byte break no line
-        path = tmp_path / "bad.cfg"
-        path.write_bytes(b"[bench]\r\n# a\x0c b\xc2\x85 c\nsigma_f_hz = \xff\n")
-        assert main(["simulate", "--config", str(path), "--quiet"]) == 2
-        assert capsys.readouterr().err == (
-            "error: line 3, column 14: not UTF-8: byte 0xff\n")
-
-    @pytest.mark.parametrize("argv, message", [
-        (["enumerate", "--format", "xml"],
-         "argument --format: invalid choice: 'xml'"),
-        (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
-        ([], "the following arguments are required: command"),
-        (["simulate"], "the following arguments are required: --config"),
-        (["chart", "--seed", "3"], "unrecognized arguments: --seed 3"),
-    ])
-    def test_usage_error_exit_2(self, capsys, argv, message):
-        assert main(argv) == 2
-        out, err = capsys.readouterr()
-        assert out == "" and err.startswith(f"error: {message}")
-
     @pytest.mark.parametrize("argv", [["-h"], ["simulate", "--help"]])
     def test_help_exits_0(self, capsys, argv):
         with pytest.raises(SystemExit) as err:
@@ -514,26 +623,6 @@ class TestErrors:
         assert err.value.code == 0
         assert capsys.readouterr().out.startswith("usage: cohom")
 
-    def test_empty_config_rejected(self, capsys):
-        assert main(["simulate", "--config", "", "--quiet"]) == 2
-        assert capsys.readouterr().err == (
-            "error: argument --config: must name a file, not ''\n")
-
-    def test_unwritable_out(self, capsys, tmp_path):
-        target = tmp_path / "nodir" / "x.csv"
-        assert main(["enumerate", "--out", str(target)]) == 2
-        assert "x.csv" in capsys.readouterr().err
-
-
-    def test_empty_out_rejected_before_running(self, tmp_path, monkeypatch,
-                                              capsys):
-        work = tmp_path / "work"
-        work.mkdir()
-        monkeypatch.chdir(work)
-        assert main(["validate", "--quiet", "--out", ""]) == 2
-        assert capsys.readouterr().err == (
-            "error: argument --out: must name a file, not ''\n")
-        assert os.listdir(tmp_path) == ["work"] and os.listdir(work) == []
 
 
 #: the values of the config documents below: zero, the least subnormal,
@@ -609,26 +698,36 @@ def test_failed_stdout_write_exits_2(failing, command, monkeypatch, capsys):
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
-@pytest.mark.parametrize("target", ["full", "broken-pipe"])
-def test_failed_stdout_write_exits_2_at_interpreter_exit(target):
-    # a block-buffered stdout keeps the unwritten data, which the
-    # interpreter flushes again at exit; that must not turn 2 into 120
+@pytest.mark.parametrize("target", ["full", "broken-pipe", "closed"])
+@pytest.mark.parametrize("command", ["enumerate", "validate", "simulate"])
+def test_failed_stdout_write_exits_2_at_interpreter_exit(command, target,
+                                                         point_cfg):
+    # run as the console script runs, sys.exit(main()): a block-buffered
+    # stdout keeps the unwritten data, which the interpreter flushes again
+    # at exit; that must not turn 2 into 120
+    argv = [sys.executable, "-m", "cohom.cli", command, "--quiet"]
+    if command == "simulate":
+        argv += ["--config", point_cfg]
     env = _package_env()
     env.pop("PYTHONUNBUFFERED", None)
+    stdout = None
     if target == "full":
         stdout = os.open("/dev/full", os.O_WRONLY)
         expected = "[Errno 28] No space left on device"
-    else:
+    elif target == "broken-pipe":
         reader, stdout = os.pipe()
         os.close(reader)
         expected = "[Errno 32] Broken pipe"
+    else:
+        # with descriptor 1 closed at start-up, sys.stdout is None
+        argv = ["/bin/sh", "-c", 'exec "$@" >&-', "sh", *argv]
+        expected = "[Errno 9] Bad file descriptor"
     try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "cohom.cli", "enumerate", "--quiet"],
-            stdout=stdout, stderr=subprocess.PIPE, env=env, text=True,
-            timeout=60)
+        proc = subprocess.run(argv, stdout=stdout, stderr=subprocess.PIPE,
+                              env=env, text=True, timeout=60)
     finally:
-        os.close(stdout)
+        if stdout is not None:
+            os.close(stdout)
     assert proc.returncode == 2
     assert proc.stderr == f"error: <stdout>: {expected}\n"
 
@@ -690,6 +789,13 @@ class TestValidate:
         assert all(",pass," in line for line in lines[1:])
         assert out.err == ""  # --quiet silences progress
 
+    def test_csv_detail_reads_back_whole(self, capsys):
+        assert main(["validate", "--quiet"]) == 0
+        rows = csv.reader(io.StringIO(capsys.readouterr().out, newline=""))
+        details = {row[0]: row[4] for row in rows}
+        assert "," in check_outcome_table().detail
+        assert details["outcome-table"] == check_outcome_table().detail
+
     def test_perturbed_splitter_fails(self, capsys, break_splitter):
         break_splitter(1e-3)
         code = main(["validate", "--quiet"])
@@ -701,11 +807,7 @@ class TestValidate:
         break_splitter(math.nan)
         code = main(["validate", "--quiet", "--format", "json"])
         assert code == 1
-
-        def reject(token):
-            raise ValueError(f"non-standard JSON token {token}")
-
-        payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+        payload = _strict_json(capsys.readouterr().out)
         check, = [c for c in payload["checks"]
                   if c["name"] == "element-unitarity"]
         assert check["status"] == "fail" and check["measured"] is None
