@@ -27,8 +27,8 @@ import io
 import math
 import platform
 import re
-from dataclasses import MISSING, astuple, dataclass, fields, replace
-from typing import Optional, get_type_hints
+from dataclasses import MISSING, dataclass, fields, replace
+from typing import NamedTuple, Optional, get_type_hints
 
 import numpy as np
 
@@ -54,8 +54,7 @@ class BenchIOError(RuntimeError):
     """File I/O failure, annotated with the path it concerns."""
 
 
-@dataclass(frozen=True)
-class ScanSpec:
+class ScanSpec(NamedTuple):
     """An inclusive sweep of the delay difference tau21 = tau2 - tau1."""
 
     start: float
@@ -66,8 +65,7 @@ class ScanSpec:
         return np.linspace(self.start, self.stop, self.steps)
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     """A value's text, and its line and column in the config file or the
     name of its source outside the file."""
 
@@ -303,7 +301,7 @@ def render_config(config: RunConfig, scan: Optional[ScanSpec] = None) -> str:
     values["sigma_f_hz"] = config.sigma_f / (2.0 * math.pi)
     if scan is not None:
         del values["tau2_s"]
-        values.update(zip(_SCAN_KEYS, astuple(scan)))
+        values.update(zip(_SCAN_KEYS, scan))
     lines = []
     for section, keys in _SCHEMA.items():
         lines.append(f"[{section}]")
@@ -381,8 +379,7 @@ class ResultRow:
 _COLUMNS = get_type_hints(ResultRow)
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(NamedTuple):
     rows: tuple
     manifest: dict
 

@@ -23,9 +23,8 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, replace  # perfbench's doctored cli uses it
+from dataclasses import replace  # perfbench's doctored cli uses it
 
-from .analytic import enumerate_combinations, pair_chart
 from .benchio import (
     BenchIOError,
     ConfigParseError,
@@ -75,7 +74,9 @@ def _emit(text: str, out_path) -> None:
         if atomic:
             os.replace(written, target)
     except OSError as exc:
-        raise BenchIOError(f"{out_path}: {exc}") from exc
+        # name the target alone, not the temporary file and its pid
+        raise BenchIOError(
+            f"{out_path}: {OSError(exc.errno, exc.strerror)}") from exc
     finally:
         if atomic:
             with contextlib.suppress(FileNotFoundError):
@@ -114,9 +115,12 @@ def _progress(args):
 
 
 def render_combos(fmt: str) -> str:
+    # imported here, as in cmd_validate, so that the engine commands skip it
+    from .optics import enumerate_combinations
+
     # ComboRow's fields are the columns; an enum is written as its value
     records = [{name: getattr(value, "value", value)
-                for name, value in asdict(row).items()}
+                for name, value in row._asdict().items()}
                for row in enumerate_combinations()]
     if fmt == "json":
         return json_text(records)
@@ -127,6 +131,8 @@ def render_combos(fmt: str) -> str:
 
 
 def render_chart(fmt: str) -> str:
+    from .optics import pair_chart
+
     chart = pair_chart()
     if fmt == "json":
         return json_text(chart.to_dict())

@@ -420,8 +420,7 @@ def simulate_run(config: RunConfig) -> CountsAccumulator:
     return acc
 
 
-@dataclass(frozen=True)
-class ScanPoint:
+class ScanPoint(NamedTuple):
     """One scan position: the delay difference and its counts.  The point
     ran the run's config at tau2 = tau1 + tau21, under a seed derived
     from the run's (see :func:`scan_tau21`)."""

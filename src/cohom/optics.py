@@ -17,11 +17,17 @@ first, and all arithmetic runs on those stacks.  A scalar call thus runs
 the same numpy loops as an array call (numpy's scalar arithmetic can
 round differently in the last bit), so one call on N samples gives
 exactly the results of N scalar calls.
+
+The pair combinatorics at the end, the 16-row pair-allocation table and
+the 4x4 detector pairing chart, are built from the same polarization and
+path labels; only ``cohom enumerate``, ``chart`` and ``validate`` use them.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
+from typing import NamedTuple
 
 import numpy as np
 
@@ -238,3 +244,123 @@ def detector_path_coefficients(
     e1, e2, e3, e4 = bench_detector_fields(delta_f, tau1, tau2).values()
     up, down = np.swapaxes([e1[:2], e2[2:], e3[:2], e4[2:]], 0, 1)
     return {PathTag.U: up, PathTag.D: down}
+
+
+# ---------------------------------------------------------------------------
+# pair combinatorics
+# ---------------------------------------------------------------------------
+
+
+class ComboClass(enum.Enum):
+    """Fate of one path/polarization allocation of a photon pair."""
+
+    CROSS_PATH_KEPT = "cross-path-kept"
+    SAME_PATH_EXCLUDED = "same-path-excluded"
+    SINGLE_PORT_EXCLUDED = "single-port-excluded"
+
+
+class ComboRow(NamedTuple):
+    path_1: PathTag
+    path_2: PathTag
+    pol_1: Polarization
+    pol_2: Polarization
+    port_a: tuple[str, ...]
+    port_b: tuple[str, ...]
+    classification: ComboClass
+
+
+def _output_port(pol: Polarization, path: PathTag) -> str:
+    # the first-stage combiner sends H^D and V^U to port A, H^U and V^D to B
+    if (pol, path) in ((Polarization.H, PathTag.D), (Polarization.V, PathTag.U)):
+        return "A"
+    return "B"
+
+
+def _label(pol: Polarization, index: int, path: PathTag) -> str:
+    """Photon label such as ``H_1^U``: polarization, pair index, arm."""
+    return f"{pol.value}_{index}^{path.value}"
+
+
+def enumerate_combinations() -> tuple[ComboRow, ...]:
+    """All 16 path/polarization allocations of a photon pair.
+
+    Rows are ordered path_1, path_2, pol_1, pol_2 (U before D, H before V).
+    Same-path allocations never reach both first-stage ports and are dropped
+    by the heterodyne stage; cross-path allocations with orthogonal
+    polarizations pile into a single port and cannot produce a cross-port
+    pair; the remaining four (H-H and V-V, either arm order) are kept.
+    """
+    rows = []
+    for path_1, path_2, pol_1, pol_2 in itertools.product(
+            PathTag, PathTag, Polarization, Polarization):
+        ports = {"A": [], "B": []}
+        for pol, index, path in ((pol_1, 1, path_1), (pol_2, 2, path_2)):
+            ports[_output_port(pol, path)].append(_label(pol, index, path))
+        if path_1 is path_2:
+            cls = ComboClass.SAME_PATH_EXCLUDED
+        elif not ports["A"] or not ports["B"]:
+            cls = ComboClass.SINGLE_PORT_EXCLUDED
+        else:
+            cls = ComboClass.CROSS_PATH_KEPT
+        rows.append(ComboRow(path_1, path_2, pol_1, pol_2, tuple(ports["A"]),
+                             tuple(ports["B"]), cls))
+    return tuple(rows)
+
+
+class PairMark(enum.Enum):
+    """Cell marker in the detector pair chart."""
+
+    CORRELATED = "1"
+    DELTA = "1d"
+    EMPTY = ""
+
+
+class PairChart(NamedTuple):
+    """4x4 chart of detected photon labels: rows at detectors 3/4, columns at 1/2.
+
+    Row labels are the H^U pair members (detector 3) then the V^D members
+    (detector 4); column labels are H^D (detector 1) then V^U (detector 2).
+    CORRELATED marks opposite-offset same-polarization pairings (the
+    anticorrelated channels), DELTA marks equal-offset cross-polarization
+    pairings that survive on coherence alone and carry no derived magnitude.
+    """
+
+    row_labels: tuple[str, ...]
+    col_labels: tuple[str, ...]
+    cells: tuple[tuple[PairMark, ...], ...]
+
+    def to_dict(self) -> dict:
+        return {
+            "row_labels": list(self.row_labels),
+            "col_labels": list(self.col_labels),
+            "cells": [[mark.value for mark in row] for row in self.cells],
+        }
+
+
+def pair_chart() -> PairChart:
+    """Published pairing chart between the two detector groups.
+
+    Same-polarization opposite-offset cells are CORRELATED, except that the
+    chart as published leaves the (index 2, index 2) cell of each block
+    blank; cross-polarization equal-offset cells with distinct indices are
+    DELTA; everything else is empty.
+    """
+    h, v, up, down = Polarization.H, Polarization.V, PathTag.U, PathTag.D
+    # (polarization, pair index, arm) of each row and column photon
+    rows = [(pol, index, path) for pol, path in ((h, up), (v, down))
+            for index in (1, 2)]
+    cols = [(pol, index, path) for pol, path in ((h, down), (v, up))
+            for index in (1, 2)]
+    cells = []
+    for r_pol, r_idx, r_path in rows:
+        row = []
+        for c_pol, c_idx, c_path in cols:
+            if r_pol is c_pol and r_path is not c_path and (r_idx, c_idx) != (2, 2):
+                row.append(PairMark.CORRELATED)
+            elif r_pol is not c_pol and r_path is c_path and r_idx != c_idx:
+                row.append(PairMark.DELTA)
+            else:
+                row.append(PairMark.EMPTY)
+        cells.append(tuple(row))
+    return PairChart(tuple(_label(*photon) for photon in rows),
+                     tuple(_label(*photon) for photon in cols), tuple(cells))

@@ -30,21 +30,18 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from dataclasses import replace
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .analytic import (
-    ComboClass,
     classical_baseline_g2,
     coincidence_r13,
     coincidence_r24,
     ensemble_intensity,
-    enumerate_combinations,
     fringe_visibility,
     local_intensity,
-    pair_chart,
 )
 from .montecarlo import (
     CLICK_PATTERNS,
@@ -58,6 +55,7 @@ from .montecarlo import (
     simulate_run,
 )
 from .optics import (
+    ComboClass,
     PathAssignmentError,
     PathTag,
     Polarization,
@@ -65,10 +63,12 @@ from .optics import (
     bs_transform,
     detector_path_coefficients,
     detune_phase,
+    enumerate_combinations,
     from_jones,
     hwp_transform,
     intensity,
     nmzi_transfer,
+    pair_chart,
     pbs_route,
     total_norm,
     vacuum,
@@ -81,8 +81,7 @@ VALIDATION_SEED = 20260825
 _ANTICORRELATED = ((1, 2), (1, 3), (2, 4), (3, 4))
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """Outcome of one validation check.
 
     ``passed`` is ``measured <= tolerance``; ``detail`` says what was

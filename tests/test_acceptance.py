@@ -16,25 +16,25 @@ import numpy as np
 import pytest
 
 from cohom.analytic import (
-    ComboClass,
     coincidence_r13,
     coincidence_r24,
     ensemble_intensity,
-    enumerate_combinations,
     local_intensity,
-    pair_chart,
 )
 from cohom.montecarlo import RunConfig, g2_estimate, scan_tau21, simulate_run
 from cohom.optics import (
+    ComboClass,
     PathTag,
     Polarization,
     bench_detector_fields,
     bs_transform,
     detune_phase,
+    enumerate_combinations,
     from_jones,
     hwp_transform,
     intensity,
     nmzi_transfer,
+    pair_chart,
     pbs_route,
     total_norm,
     vacuum,

@@ -17,24 +17,24 @@ from scipy import integrate
 from cohom.analytic import (
     PORT_COEFFS,
     _PORT_SIGN,
-    ComboClass,
-    PairMark,
     classical_baseline_g2,
     coincidence_r13,
     coincidence_r24,
     ensemble_intensity,
-    enumerate_combinations,
     fringe_visibility,
     local_intensity,
-    pair_chart,
 )
 from cohom.cli import main
 from cohom.optics import (
+    ComboClass,
+    PairMark,
     PathTag,
     Polarization,
     bench_detector_fields,
     detector_path_coefficients,
+    enumerate_combinations,
     intensity,
+    pair_chart,
 )
 
 SQRT2 = math.sqrt(2.0)

@@ -23,9 +23,9 @@ from hypothesis import strategies as st
 
 import cohom
 from cohom import cli
-from cohom.analytic import pair_chart
 from cohom.benchio import ConfigParseError, parse_config
 from cohom.cli import _emit
+from cohom.optics import pair_chart
 from cohom.validation import check_outcome_table
 
 POINT_CFG = """\
@@ -419,8 +419,7 @@ CASES += [
       for name, target in (("empty", ""), ("file-slash", "f/"),
                            ("file-dot", "f/."), ("missing-dir", "nodir/"))),
     _rejected("out-unwritable", ("enumerate", "--out", "nodir/x.csv"),
-              Prefix("error: nodir/x.csv: [Errno 2] No such file or "
-                     "directory")),
+              "error: nodir/x.csv: [Errno 2] No such file or directory\n"),
 ]
 CASE_BY_NAME = {case.name: case for case in CASES}
 
@@ -841,14 +840,21 @@ class TestValidate:
                    for c in payload["checks"])
 
 
-def test_import_skips_modules_only_some_commands_run():
-    # validate imports its suite on demand
-    code = ("import sys, cohom.cli; print(sorted(m for m in "
-            "('cohom.validation', 'concurrent.futures') if m in sys.modules))")
+def test_import_skips_modules_only_some_commands_run(point_cfg):
+    # validate imports its suite on demand, and enumerate, chart and
+    # validate the pair combinatorics in optics: neither is loaded by the
+    # import, nor by a simulate run after it
+    code = ("import sys\n"
+            "def loaded():\n"
+            "    print(sorted(m for m in ('cohom.optics', 'cohom.validation',"
+            " 'concurrent.futures') if m in sys.modules), file=sys.stderr)\n"
+            "import cohom.cli\nloaded()\n"
+            f"assert cohom.cli.main(['simulate', '--config', {point_cfg!r},"
+            " '--quiet']) == 0\nloaded()\n")
     proc = subprocess.run([sys.executable, "-c", code], env=_package_env(),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert proc.stderr == "[]\n[]\n"
 
 
 def test_validate_loads_no_quadrature_pool_or_logging():
