@@ -403,13 +403,13 @@ def analytic_rows(config: RunConfig, tau21_values) -> list:
     Every delay tau2 = tau1 + tau21 passes :class:`RunConfig`'s tau2 rule,
     as a Monte Carlo scan point does: the smallest and the largest are
     checked through it, every point lies between them, and a NaN carries
-    through both, so a bad delay raises the one ``ConfigError``."""
+    through both, so a bad delay raises the one ``ConfigError``.  They are
+    summed as Python floats before the array is, so a sum that overflows
+    is an infinite tau2 that the rule rejects, not numpy's warning."""
     tau21 = np.asarray(tau21_values, dtype=float)
-    tau2 = config.tau1 + tau21
-    for extreme in (tau2.min(initial=config.tau1),
-                    tau2.max(initial=config.tau1)):
-        replace(config, tau2=float(extreme))
-    bench = (config.sigma_f, config.tau1, tau2)
+    for extreme in (tau21.min(initial=0.0), tau21.max(initial=0.0)):
+        replace(config, tau2=config.tau1 + float(extreme))
+    bench = (config.sigma_f, config.tau1, config.tau1 + tau21)
     columns = (tau21, *(ensemble_intensity(k, *bench) for k in (1, 2, 3, 4)),
                coincidence_r13(*bench), coincidence_r24(*bench))
     # g2_13, g2_13_err, g2_24, g2_24_err, n_coinc_13, n_coinc_24

@@ -701,9 +701,9 @@ def test_failed_stdout_write_exits_2(failing, command, monkeypatch, capsys):
 @pytest.mark.parametrize("command", ["enumerate", "validate", "simulate"])
 def test_failed_stdout_write_exits_2_at_interpreter_exit(command, target,
                                                          point_cfg):
-    # run as the console script runs, sys.exit(main()): a block-buffered
-    # stdout keeps the unwritten data, which the interpreter flushes again
-    # at exit; that must not turn 2 into 120
+    # run as the console script runs, through cli.run: a block-buffered
+    # stdout keeps the unwritten data, which run's final flush writes
+    # again; that must not turn 2 into 120
     argv = [sys.executable, "-m", "cohom.cli", command, "--quiet"]
     if command == "simulate":
         argv += ["--config", point_cfg]
@@ -729,6 +729,91 @@ def test_failed_stdout_write_exits_2_at_interpreter_exit(command, target,
             os.close(stdout)
     assert proc.returncode == 2
     assert proc.stderr == f"error: <stdout>: {expected}\n"
+
+
+#: one ``python -m cohom.cli`` run of each command, half to stdout and
+#: half to ``--out``, in both formats, with progress on; and one exit 2:
+#: argv, files, exit code
+PROCESS_RUNS = {
+    "enumerate-csv": (("enumerate",), {}, 0),
+    "chart-json-out": (("chart", *AS_JSON, "--out", "out"), {}, 0),
+    "analytic-json": (("analytic", "--config", "scan.cfg", *AS_JSON), SCAN,
+                      0),
+    "simulate-amplitude-json-out": (
+        ("simulate", "--config", "point.cfg", *AS_JSON, "--out", "out"),
+        POINT, 0),
+    "simulate-classical-csv": (("simulate", "--config", "point.cfg"),
+                               {"point.cfg": _with_mode(POINT_CFG,
+                                                        "classical")}, 0),
+    "scan-csv-out": (("scan", "--config", "scan.cfg", "--out", "out"), SCAN,
+                     0),
+    "validate-csv": (("validate",), {}, 0),
+    "simulate-bad-config": (("simulate", "--config", "point.cfg"),
+                            {"point.cfg": "[run]\ncolour = red\n"}, 2),
+}
+
+
+def _mask_progress_clock(text: str) -> str:
+    return re.sub(r"done in [0-9.]+s", "done in 0s", text)
+
+
+@pytest.mark.parametrize("argv, files, exit_code", PROCESS_RUNS.values(),
+                         ids=PROCESS_RUNS)
+def test_process_writes_what_main_writes(argv, files, exit_code, tmp_path,
+                                         capsys, monkeypatch):
+    # the process ends through cli.run, without the interpreter's
+    # teardown: its stdout, --out file, progress and exit code must still
+    # be main's, but for the wall clock
+    for side in ("process", "main"):
+        (tmp_path / side).mkdir()
+        for name, text in files.items():
+            (tmp_path / side / name).write_text(text)
+    env = _package_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    env.pop("COHOM_SEED", None)
+    proc = subprocess.run([sys.executable, "-m", "cohom.cli", *argv],
+                          cwd=tmp_path / "process", env=env,
+                          capture_output=True, timeout=120)
+    with monkeypatch.context() as patch:
+        patch.chdir(tmp_path / "main")
+        patch.delenv("COHOM_SEED", raising=False)
+        code = main(list(argv))  # one error: line on exit 2
+    out, err = capsys.readouterr()
+    assert (proc.returncode, code) == (exit_code, exit_code), proc.stderr
+    assert _mask_clock(proc.stdout.decode()) == _mask_clock(out)
+    assert ({name: _mask_clock(data.decode())
+             for name, data in _tree(tmp_path / "process").items()}
+            == {name: _mask_clock(data.decode())
+                for name, data in _tree(tmp_path / "main").items()})
+    assert _mask_progress_clock(proc.stderr.decode()) == (
+        _mask_progress_clock(err))
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("fault", ["unwritable", "closed"])
+def test_failed_final_flush_exits_as_the_interpreter_does(fault):
+    # when run's own flush fails, the process leaves through the
+    # interpreter's exit, whose exit code and report are those of
+    # sys.exit(main()): 120 and an "Exception ignored" line for data it
+    # cannot write, and main's code for a stdout the run closed
+    leave = ("sys.stdout.write('data')" if fault == "unwritable"
+             else "sys.stdout.close()")
+    env = _package_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    ends = []
+    for ending in ("sys.exit(cli.main())", "cli.run()"):
+        code = ("import sys\nfrom cohom import cli\n"
+                f"cli.main = lambda: ({leave}, 0)[1]\n{ending}\n")
+        stdout = os.open("/dev/full", os.O_WRONLY)
+        try:
+            proc = subprocess.run([sys.executable, "-c", code],
+                                  stdout=stdout, stderr=subprocess.PIPE,
+                                  env=env, text=True, timeout=60)
+        finally:
+            os.close(stdout)
+        ends.append((proc.returncode, proc.stderr))
+    assert ends[0] == ends[1]
+    assert ends[0][0] == (120 if fault == "unwritable" else 0)
 
 
 class TestAtomicOut:
