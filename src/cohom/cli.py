@@ -47,6 +47,31 @@ from .benchio import (
 from .montecarlo import ConfigError, ScanPoint, scan_tau21, simulate_run
 
 
+def _to_null(stream) -> None:
+    """Point ``stream``'s descriptor at the null device, so that what it
+    still buffers, and every later write, goes nowhere: the exit flush
+    then has nothing left that can fail (exit 120)."""
+    with contextlib.suppress(OSError, ValueError):  # no descriptor
+        fd = stream.fileno()
+        null = os.open(os.devnull, os.O_WRONLY)
+        if null != fd:  # else fd was closed and os.open reused it
+            os.dup2(null, fd)
+            os.close(null)
+
+
+def _diagnose(message: str) -> None:
+    """Write one progress or ``error:`` line to stderr.  These lines are
+    not data: a stderr that is closed or cannot be written drops them,
+    and never changes the output or the exit code."""
+    if sys.stderr is None:  # descriptor 2 was closed at start-up
+        return
+    try:
+        sys.stderr.write(message + "\n")
+        sys.stderr.flush()
+    except (OSError, ValueError):  # ValueError: stderr closed by the run
+        _to_null(sys.stderr)
+
+
 def _emit(text: str, out_path) -> None:
     """Write ``text`` to stdout, or whole or not at all to ``out_path``.
 
@@ -64,10 +89,7 @@ def _emit(text: str, out_path) -> None:
             sys.stdout.write(text)
             sys.stdout.flush()
         except OSError as exc:
-            # drop the buffered data, or the exit flush retries it (exit 120)
-            with contextlib.suppress(OSError, ValueError):  # no descriptor
-                fd = sys.stdout.fileno()
-                os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+            _to_null(sys.stdout)
             raise BenchIOError(f"<stdout>: {exc}") from exc
         return
     atomic = os.path.isfile(out_path) or not os.path.exists(out_path)
@@ -117,7 +139,7 @@ class _Parser(argparse.ArgumentParser):
 def _progress(args):
     if args.quiet:
         return lambda message: None
-    return lambda message: print(message, file=sys.stderr)
+    return _diagnose
 
 
 def render_combos(fmt: str) -> str:
@@ -273,7 +295,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         return args.handler(args)
     except (ConfigParseError, ConfigError, BenchIOError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _diagnose(f"error: {exc}")
         return 2
 
 

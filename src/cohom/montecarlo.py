@@ -157,6 +157,8 @@ class RunConfig:
         _require("seed", _is_int(self.seed) and self.seed >= 0,
                  "must be a non-negative integer")
         _require("mode", self.mode in _MODES, f"must be one of {_MODES}")
+        _require("heterodyne_filter", isinstance(self.heterodyne_filter, bool),
+                 "must be True or False")
         if self.mode == "classical":
             # Bernoulli click probability mu * I_k / I0 must not exceed 1
             # at the fringe maximum I_k = I0.

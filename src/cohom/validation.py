@@ -89,15 +89,18 @@ class CheckResult(NamedTuple):
     """
 
     name: str
-    passed: bool
     measured: float
     tolerance: float
     detail: str = ""
 
+    @property
+    def passed(self) -> bool:
+        # a NaN measurement compares false, so it fails
+        return self.measured <= self.tolerance
+
 
 def _result(name, measured, tolerance, detail=""):
-    return CheckResult(name, bool(measured <= tolerance), float(measured),
-                       float(tolerance), detail)
+    return CheckResult(name, float(measured), float(tolerance), detail)
 
 
 def _worst(*values: float) -> float:
@@ -454,7 +457,6 @@ def check_stage_composition() -> CheckResult:
     port_a, port_b = nmzi_transfer(source, delta_f, tau1)
 
     up, down = bs_transform(source, vacuum())
-    worst = 0.0
     try:
         up = detune_phase(with_path(up, PathTag.U), delta_f, tau1)
         down = detune_phase(with_path(down, PathTag.D), delta_f, tau1)
@@ -463,14 +465,8 @@ def check_stage_composition() -> CheckResult:
         worst = math.nan
     else:
         composed_a, composed_b = pbs_route(down, up)
-        samples = np.arange(n)
-        for direct, composed in ((port_a, composed_a), (port_b, composed_b)):
-            # align the global phase on the largest composed amplitude
-            ref = np.argmax(np.abs(composed), axis=0)
-            keep = np.abs(composed[ref, samples]) >= 1e-12
-            phase = direct[ref, samples][keep] / composed[ref, samples][keep]
-            worst = _worst(worst, _max_abs(
-                direct[:, keep] - phase * composed[:, keep]))
+        worst = _worst(_max_abs(port_a - composed_a),
+                       _max_abs(port_b - composed_b))
     return _result("stage-composition", worst, 1e-12,
                    "single-stage transfer vs composed splitter pipeline")
 
@@ -513,28 +509,9 @@ def check_filter_monotonicity() -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-#: the suite in run order; each name runs the module's check_<name>
-CHECKS = (
-    "analytic-coincidence-zero",
-    "amplitude-exact-zero",
-    "higher-order-floor",
-    "classical-baseline",
-    "intensity-consistency",
-    "intensity-conservation",
-    "amplitude-singles",
-    "outcome-table",
-    "classical-singles",
-    "ensemble-quadrature",
-    "classical-marginals",
-    "uniform-limit",
-    "combination-table",
-    "pair-chart",
-    "element-unitarity",
-    "waveplate-balance",
-    "stage-composition",
-    "rerun-determinism",
-    "filter-monotonicity",
-)
+#: the suite in run order: every check_<name> above, in the order defined
+CHECKS = tuple(name.removeprefix("check_").replace("_", "-")
+               for name in list(globals()) if name.startswith("check_"))
 
 
 def run_validation(progress: Optional[Callable[[str], None]] = None) -> list:

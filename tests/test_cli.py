@@ -816,6 +816,94 @@ def test_failed_final_flush_exits_as_the_interpreter_does(fault):
     assert ends[0][0] == (120 if fault == "unwritable" else 0)
 
 
+#: runs that write a progress or error line: argv, files, exit code
+STDERR_RUNS = {
+    "simulate": (("simulate", "--config", "point.cfg"), POINT, 0),
+    "validate": (("validate",), {}, 0),
+    "simulate-bad-config": (("simulate", "--config", "point.cfg"),
+                            {"point.cfg": "[run]\ncolour = red\n"}, 2),
+}
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("target", ["full", "closed"])
+@pytest.mark.parametrize("argv, files, exit_code", STDERR_RUNS.values(),
+                         ids=STDERR_RUNS)
+def test_unwritable_stderr_changes_neither_data_nor_exit_code(
+        argv, files, exit_code, target, tmp_path, capsys, monkeypatch):
+    # progress and error lines are diagnostics: a process whose stderr
+    # cannot be written drops them, and writes main's stdout and exit code
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    command = [sys.executable, "-m", "cohom.cli", *argv]
+    env = _package_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    env.pop("COHOM_SEED", None)
+    stderr = None
+    if target == "full":
+        stderr = os.open("/dev/full", os.O_WRONLY)
+    else:
+        command = ["/bin/sh", "-c", 'exec "$@" 2>&-', "sh", *command]
+    try:
+        proc = subprocess.run(command, cwd=tmp_path, stdout=subprocess.PIPE,
+                              stderr=stderr, env=env, timeout=120)
+    finally:
+        if stderr is not None:
+            os.close(stderr)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("COHOM_SEED", raising=False)
+    assert main(list(argv)) == exit_code
+    assert proc.returncode == exit_code
+    assert proc.stdout.decode() == capsys.readouterr().out
+
+
+def test_no_stderr_keeps_diagnostics_out_of_the_data(point_cfg, capsys,
+                                                     monkeypatch):
+    # with descriptor 2 closed at start-up, sys.stderr is None, and
+    # print(..., file=None) would write to stdout
+    assert main(["simulate", "--config", point_cfg, "--quiet"]) == 0
+    data = capsys.readouterr().out
+    with monkeypatch.context() as patch:
+        patch.setattr(sys, "stderr", None)
+        assert cli.main(["simulate", "--config", point_cfg]) == 0
+        assert cli.main(["simulate", "--config", point_cfg + "-missing"]) == 2
+    assert capsys.readouterr() == (data, "")
+
+
+@pytest.mark.skipif(not (os.path.isdir("/proc/self/fd")
+                         and os.path.exists("/dev/full")),
+                    reason="no /proc/self/fd or no /dev/full")
+@pytest.mark.parametrize("stream", ["stdout", "stderr"])
+def test_failed_write_leaks_no_descriptor(stream, point_cfg, capsys,
+                                          monkeypatch):
+    # a failed write points the stream's descriptor at the null device,
+    # and closes the descriptor that it opened to do so
+    with open("/dev/full", "w", encoding="utf-8") as full:
+        monkeypatch.setattr(sys, stream, full)
+        before = len(os.listdir("/proc/self/fd"))
+        if stream == "stdout":
+            assert cli.main(["enumerate", "--quiet"]) == 2
+        else:
+            assert cli.main(["simulate", "--config", point_cfg]) == 0
+        assert len(os.listdir("/proc/self/fd")) == before
+        monkeypatch.undo()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="no /proc/self/fd")
+def test_stream_on_a_closed_descriptor_keeps_the_null_device():
+    # a stream whose descriptor the run closed: that descriptor is the
+    # lowest free one, so the null device opens on it, and must stay open
+    fd = os.open(os.devnull, os.O_RDONLY)
+    with open(fd, "w", closefd=False) as stream:
+        os.close(fd)
+        cli._to_null(stream)
+    try:
+        assert os.readlink(f"/proc/self/fd/{fd}") == os.devnull
+    finally:
+        os.close(fd)
+
+
 class TestAtomicOut:
     def test_failed_replace_keeps_target(self, point_cfg, tmp_path, capsys,
                                          monkeypatch):

@@ -206,6 +206,9 @@ class TestConfigValidation:
             ("seed", dict(seed=-3)),
             ("seed", dict(seed=False)),
             ("mode", dict(mode="quantumish")),
+            # a non-empty string is truthy: it would run with the filter on
+            ("heterodyne_filter", dict(heterodyne_filter="false")),
+            ("heterodyne_filter", dict(heterodyne_filter=0)),
         ]
         for field, overrides in cases:
             with pytest.raises(ConfigError) as err:

@@ -13,7 +13,7 @@ import cohom.validation
 from cohom.analytic import ensemble_intensity, local_intensity
 from cohom.cli import render_report
 from cohom.montecarlo import OUTCOMES, click_pattern_table
-from cohom.optics import PathTag, bench_detector_fields
+from cohom.optics import PathTag, bench_detector_fields, nmzi_transfer
 from cohom.validation import (
     CHECKS,
     _gaussian_mean_cos,
@@ -53,6 +53,21 @@ def test_nan_splitter_error_fails_stage_composition(break_splitter):
     assert not result.passed
     assert math.isnan(result.measured)
     assert result.tolerance == 1e-12
+
+
+def test_port_phase_error_fails_stage_composition(monkeypatch):
+    # a phase between the two output ports is a fault of the transfer;
+    # aligning each port's phase on its own would hide it
+    assert check_stage_composition().passed
+
+    def rotated(source, delta_f, tau1):
+        port_a, port_b = nmzi_transfer(source, delta_f, tau1)
+        return port_a, 1j * port_b
+
+    monkeypatch.setattr(cohom.validation, "nmzi_transfer", rotated)
+    result = check_stage_composition()
+    assert not result.passed
+    assert result.measured > 0.1
 
 
 def test_swapped_ports_fail_intensity_consistency(monkeypatch):
