@@ -34,7 +34,7 @@ import numpy as np
 
 from . import __version__
 from .analytic import coincidence_r13, coincidence_r24, ensemble_intensity
-from .montecarlo import ConfigError, RunConfig, g2_estimate
+from .montecarlo import ConfigError, RunConfig, checked_tau21, g2_estimate
 
 ENV_SEED = "COHOM_SEED"
 
@@ -381,7 +381,7 @@ _COLUMNS = get_type_hints(ResultRow)
 
 class RunResult(NamedTuple):
     rows: tuple
-    manifest: dict
+    manifest: Optional[dict]  # None when only the CSV is written
 
 
 def _fmt(value: float) -> str:
@@ -400,15 +400,9 @@ def analytic_rows(config: RunConfig, tau21_values) -> list:
     coincidence rates (identically zero, hence zero counts and errors),
     each column computed in one call over the whole scan.
 
-    Every delay tau2 = tau1 + tau21 passes :class:`RunConfig`'s tau2 rule,
-    as a Monte Carlo scan point does: the smallest and the largest are
-    checked through it, every point lies between them, and a NaN carries
-    through both, so a bad delay raises the one ``ConfigError``.  They are
-    summed as Python floats before the array is, so a sum that overflows
-    is an infinite tau2 that the rule rejects, not numpy's warning."""
-    tau21 = np.asarray(tau21_values, dtype=float)
-    for extreme in (tau21.min(initial=0.0), tau21.max(initial=0.0)):
-        replace(config, tau2=config.tau1 + float(extreme))
+    Every delay passes :func:`cohom.montecarlo.checked_tau21`, the tau2
+    rule a Monte Carlo scan checks, so a bad one raises its ConfigError."""
+    tau21 = checked_tau21(config, tau21_values)
     bench = (config.sigma_f, config.tau1, config.tau1 + tau21)
     columns = (tau21, *(ensemble_intensity(k, *bench) for k in (1, 2, 3, 4)),
                coincidence_r13(*bench), coincidence_r24(*bench))

@@ -127,6 +127,11 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ConfigParseError(message)
 
+    def _print_message(self, message, file=None):
+        if file is sys.stdout:  # help is data: a failed write exits 2
+            return _emit(message, None)
+        super()._print_message(message, file)
+
     def parse_args(self, args=None, namespace=None):
         parsed = super().parse_args(args, namespace)
         # before Python 3.13 argparse reads '--opt=--' as an empty list
@@ -233,7 +238,8 @@ def cmd_table(args) -> int:
                   [ScanPoint(values[0], simulate_run(config))])
         rows = simulation_rows(config, points)
     elapsed = time.perf_counter() - started
-    manifest = make_manifest(args.command, config, scan, elapsed)
+    manifest = (make_manifest(args.command, config, scan, elapsed)
+                if args.format == "json" else None)
     _emit(render_results(RunResult(tuple(rows), manifest), args.format),
           args.out)
     progress(f"{args.command}: done in {elapsed:.2f}s")

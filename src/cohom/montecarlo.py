@@ -444,53 +444,51 @@ class ScanPoint(NamedTuple):
     counts: CountsAccumulator
 
 
+def checked_tau21(config: RunConfig, tau21_values) -> np.ndarray:
+    """``tau21_values`` as floats, once :class:`RunConfig`'s tau2 rule
+    accepts the smallest and the largest delay tau2 = tau1 + tau21, which
+    bound every other; a NaN carries through both.  Python floats sum
+    them, so an overflow is an infinite tau2, not numpy's warning."""
+    tau21 = np.asarray(tau21_values, dtype=float)
+    for extreme in (tau21.min(initial=0.0), tau21.max(initial=0.0)):
+        replace(config, tau2=config.tau1 + float(extreme))
+    return tau21
+
+
 def scan_tau21(config: RunConfig, tau21_values, workers: int = 1) -> list:
-    """Simulate a sweep of the delay difference tau21 = tau2 - tau1.
+    """The scan points of the delays tau21 = tau2 - tau1, in their order.
 
-    Each point runs at tau2 = tau1 + tau21 with an independent seed
-    derived from the base seed, so the whole scan is reproducible and
-    points may execute in parallel; results are returned in scan order.
+    After :func:`checked_tau21`, point i runs at tau2 = tau1 + tau21 under
+    a seed from the i-th child of ``SeedSequence(config.seed)``, both built
+    when it runs.  The calling thread is one of the w ``workers`` and runs
+    points 0, w, 2w, ...; w - 1 plain threads (not ``concurrent.futures``,
+    which imports ``logging``) run the other strides.  A worker stops at
+    its first exception; once all have joined, the earliest failed point's
+    exception is raised, as ``ThreadPoolExecutor.map`` does.
     """
-    values = [float(v) for v in tau21_values]
-    children = np.random.SeedSequence(config.seed).spawn(len(values))
-    point_configs = []
-    for value, child in zip(values, children):
-        point_seed = int(child.generate_state(1, np.uint64)[0])
-        point_configs.append(
-            replace(config, tau2=config.tau1 + value, seed=point_seed))
-
-    if workers <= 1:
-        counts = [simulate_run(c) for c in point_configs]
-    else:
-        counts = _run_on_threads(point_configs, workers)
-    return [ScanPoint(v, k) for v, k in zip(values, counts)]
-
-
-def _run_on_threads(point_configs: list, workers: int) -> list:
-    """``simulate_run`` of every config on at most ``workers`` threads.
-
-    Plain threads, not ``concurrent.futures``, which imports ``logging``.
-    Thread w runs points w, w + workers, ... and stops at its first
-    exception; once every thread has joined, the exception of the
-    earliest failed point is raised, as ``ThreadPoolExecutor.map`` does.
-    """
-    counts = [None] * len(point_configs)
+    values = checked_tau21(config, tau21_values).tolist()
+    points = [None] * len(values)
     failures = {}
+    stride = max(1, min(workers, len(values)))
 
     def run(first):
-        for i in range(first, len(point_configs), workers):
+        for i in range(first, len(values), stride):
             try:
-                counts[i] = simulate_run(point_configs[i])
+                child = np.random.SeedSequence(config.seed, spawn_key=(i,))
+                seed = int(child.generate_state(1, np.uint64)[0])
+                points[i] = ScanPoint(values[i], simulate_run(replace(
+                    config, tau2=config.tau1 + values[i], seed=seed)))
             except BaseException as exc:  # re-raised in the caller
                 failures[i] = exc
                 return
 
-    threads = [threading.Thread(target=run, args=(w,))
-               for w in range(min(workers, len(point_configs)))]
+    threads = [threading.Thread(target=run, args=(first,))
+               for first in range(1, stride)]
     for thread in threads:
         thread.start()
+    run(0)
     for thread in threads:
         thread.join()
     if failures:
         raise failures[min(failures)]
-    return counts
+    return points

@@ -591,13 +591,16 @@ class TestRows:
             assert row.R13 == 0.0 and row.R24 == 0.0
             assert row.n_coinc_13 == 0 and row.n_coinc_24 == 0
 
+    @pytest.mark.parametrize("table", [analytic_rows, scan_tau21],
+                             ids=["analytic_rows", "scan_tau21"])
     @pytest.mark.parametrize("tau1, tau21", [
         *((1e-7, tau21) for tau21 in (-5e-7, -math.inf, math.inf, math.nan)),
         (1e308, 1.7e308)])  # tau1 + tau21 overflows
-    def test_analytic_rows_reject_negative_tau2(self, tau1, tau21):
+    def test_analytic_rows_reject_negative_tau2(self, tau1, tau21, table):
+        # scans and analytic tables check their delays through one rule
         config = RunConfig(sigma_f=2.5e5, tau1=tau1, tau2=tau1)
         with pytest.raises(ConfigError) as err:
-            analytic_rows(config, [tau21])
+            table(config, [tau21])
         assert err.value.field == "tau2"
 
     def test_simulation_rows_match_counts(self):

@@ -550,6 +550,19 @@ class TestSimulateAndScan:
         assert payload["manifest"]["seed"] == 42
         assert len(payload["rows"]) == 1
 
+    def test_csv_run_builds_no_manifest(self, point_cfg, capsys,
+                                        monkeypatch):
+        argv = ["simulate", "--config", point_cfg, "--quiet"]
+        assert main(argv) == 0
+        expected = capsys.readouterr().out
+
+        def no_manifest(*args):
+            raise AssertionError("a CSV run built the JSON manifest")
+
+        monkeypatch.setattr(cli, "make_manifest", no_manifest)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
+
 
 #: (command, config, where the seed comes from): the seed of a JSON
 #: run's manifest config is the one the run used
@@ -727,6 +740,38 @@ def test_failed_stdout_write_exits_2_at_interpreter_exit(command, target,
     finally:
         if stdout is not None:
             os.close(stdout)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: <stdout>: {expected}\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("target", ["pipe", "full", "closed"])
+@pytest.mark.parametrize("argv", [["--help"], ["simulate", "--help"]],
+                         ids=["help", "simulate-help"])
+def test_help_is_written_as_data(argv, target, capsys, monkeypatch):
+    # the help text goes through the data writer: main's bytes and exit 0
+    # when stdout takes them, one error: line and exit 2 when it cannot
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps the help to it
+    command = [sys.executable, "-m", "cohom.cli", *argv]
+    stdout = subprocess.PIPE
+    if target == "full":
+        stdout = os.open("/dev/full", os.O_WRONLY)
+    elif target == "closed":
+        command = ["/bin/sh", "-c", 'exec "$@" >&-', "sh", *command]
+    try:
+        proc = subprocess.run(command, stdout=stdout, stderr=subprocess.PIPE,
+                              env=_package_env(), text=True, timeout=60)
+    finally:
+        if target == "full":
+            os.close(stdout)
+    if target == "pipe":
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert (proc.returncode, err.value.code) == (0, 0)
+        assert (proc.stdout, proc.stderr) == (capsys.readouterr().out, "")
+        return
+    expected = {"full": "[Errno 28] No space left on device",
+                "closed": "[Errno 9] Bad file descriptor"}[target]
     assert proc.returncode == 2
     assert proc.stderr == f"error: <stdout>: {expected}\n"
 

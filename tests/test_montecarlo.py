@@ -988,6 +988,30 @@ class TestScan:
             scan_tau21(cfg, values, workers=3)
         assert excinfo.value is errors[tau2[3]]
 
+    @pytest.mark.parametrize("workers, started", [(1, 0), (3, 2)])
+    def test_calling_thread_is_a_worker(self, monkeypatch, workers,
+                                        started):
+        starts = []
+        start = threading.Thread.start
+
+        def counted(thread):
+            starts.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        scan_tau21(base_config(n_pairs=1_000), np.linspace(-1e-7, 1e-7, 5),
+                   workers=workers)
+        assert len(starts) == started
+
+    def test_bad_delay_rejected_before_any_point_runs(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr(cohom.montecarlo, "simulate_run", ran.append)
+        values = np.append(np.linspace(-1e-7, 1e-7, 10**5 - 1), math.nan)
+        with pytest.raises(ConfigError) as err:
+            scan_tau21(base_config(), values)
+        assert err.value.field == "tau2"
+        assert ran == []
+
     def test_negative_delay_beyond_tau1_rejected(self):
         cfg = base_config(tau1=1e-7, n_pairs=1000)
         with pytest.raises(ConfigError) as err:
