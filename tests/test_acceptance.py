@@ -149,13 +149,14 @@ def test_local_intensities_consistent(amplitude_run, classical_run, report):
     z_amp = max(abs(counts.singles[k] - n / 2.0) / se for k in (1, 2, 3, 4))
 
     classical_counts, config = classical_run
+    n_cls = classical_counts.n_generated
     z_cls = 0.0
     for k in (1, 2, 3, 4):
         p = config.mean_photon_number * ensemble_intensity(
             k, config.sigma_f, config.tau1, config.tau2)
-        se_k = math.sqrt(n * p * (1.0 - p))
+        se_k = math.sqrt(n_cls * p * (1.0 - p))
         z_cls = max(z_cls,
-                    abs(classical_counts.singles[k] - n * p) / se_k)
+                    abs(classical_counts.singles[k] - n_cls * p) / se_k)
 
     ok = worst_rel <= 1e-12 and sums_exact and z_amp <= 5.0 and z_cls <= 5.0
     report(
@@ -281,16 +282,9 @@ def test_element_algebra(report):
     up = detune_phase(with_path(up, PathTag.U), delta_f, tau1)
     down = detune_phase(with_path(down, PathTag.D), delta_f, tau1)
     composed_a, composed_b = pbs_route(down, up)
-    worst_stage = 0.0
-    for n in range(100):
-        for direct, composed in ((port_a, composed_a), (port_b, composed_b)):
-            direct, composed = direct[:, n], composed[:, n]
-            ref = max(range(4), key=lambda i: abs(composed[i]))
-            if abs(composed[ref]) < 1e-12:
-                continue
-            phase = direct[ref] / composed[ref]
-            worst_stage = max(worst_stage, max(
-                abs(direct[i] - phase * composed[i]) for i in range(4)))
+    # amplitude by amplitude: a phase between the ports is an error too
+    worst_stage = float(np.max(np.abs([port_a - composed_a,
+                                       port_b - composed_b])))
 
     ok = worst_norm <= 1e-12 and worst_hwp <= 1e-12 and worst_stage <= 1e-12
     report(

@@ -14,7 +14,7 @@ import sys
 import tempfile
 import threading
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import pytest
@@ -79,16 +79,6 @@ def main(argv) -> int:
         lines = stderr.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
     return code
-
-
-def _package_env() -> dict:
-    """The environment with this checkout's package first on PYTHONPATH,
-    for running the CLI as a child process; a RuntimeWarning is an error
-    there too."""
-    src = str(Path(cohom.__file__).resolve().parents[1])
-    return dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning",
-                PYTHONPATH=os.pathsep.join(
-                    filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 @pytest.fixture
@@ -431,15 +421,20 @@ def _tree(root: Path) -> dict:
             for path in root.rglob("*")}
 
 
+def _files(directory: Path, files: dict) -> Path:
+    """``directory``, made, holding ``files`` (name: text or bytes)."""
+    directory.mkdir(parents=True)
+    for name, data in files.items():
+        (directory / name).write_bytes(
+            data if isinstance(data, bytes) else data.encode())
+    return directory
+
+
 def run_case(case: Case, root: Path, capsys, monkeypatch) -> str:
     """``case`` run by ``cohom.cli.main`` in a directory of its own under
     ``root``: checks its exit code and stderr, and the rules every case
     keeps, and returns its stdout."""
-    work = root / case.name / "work"
-    work.mkdir(parents=True)
-    for name, data in case.files.items():
-        (work / name).write_bytes(
-            data if isinstance(data, bytes) else data.encode())
+    work = _files(root / case.name / "work", case.files)
     before = _tree(work.parent)
     with monkeypatch.context() as patch:
         patch.chdir(work)
@@ -482,18 +477,23 @@ def test_cli_case(case, tmp_path, capsys, monkeypatch):
         assert out == case.out
 
 
+def _commands():
+    """The names of the subcommands."""
+    commands, = (action.choices for action in cli.build_parser()._actions
+                 if isinstance(action, argparse._SubParsersAction))
+    return commands
+
+
 def test_every_command_is_read_strictly_in_both_formats():
     # so that an edit of the table cannot drop a command's format unseen
     def fmt(argv):
         return (argv[argv.index("--format") + 1] if "--format" in argv
                 else "csv")
 
-    commands, = (action.choices for action in cli.build_parser()._actions
-                 if isinstance(action, argparse._SubParsersAction))
     assert len(CASE_BY_NAME) == len(CASES)
     reads = {(case.argv[0], fmt(case.argv), type(case.out))
              for case in CASES if isinstance(case.out, (Csv, Json))}
-    assert {(command, *kind) for command in commands
+    assert {(command, *kind) for command in _commands()
             for kind in (("csv", Csv), ("json", Json))} <= reads
 
 
@@ -709,132 +709,183 @@ def test_failed_stdout_write_exits_2(failing, command, monkeypatch, capsys):
         "error: <stdout>: [Errno 28] No space left on device\n")
 
 
-@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
-@pytest.mark.parametrize("target", ["full", "broken-pipe", "closed"])
-@pytest.mark.parametrize("command", ["enumerate", "validate", "simulate"])
-def test_failed_stdout_write_exits_2_at_interpreter_exit(command, target,
-                                                         point_cfg):
-    # run as the console script runs, through cli.run: a block-buffered
-    # stdout keeps the unwritten data, which run's final flush writes
-    # again; that must not turn 2 into 120
-    argv = [sys.executable, "-m", "cohom.cli", command, "--quiet"]
-    if command == "simulate":
-        argv += ["--config", point_cfg]
-    env = _package_env()
-    env.pop("PYTHONUNBUFFERED", None)
-    stdout = None
-    if target == "full":
-        stdout = os.open("/dev/full", os.O_WRONLY)
-        expected = "[Errno 28] No space left on device"
-    elif target == "broken-pipe":
-        reader, stdout = os.pipe()
-        os.close(reader)
-        expected = "[Errno 32] Broken pipe"
-    else:
-        # with descriptor 1 closed at start-up, sys.stdout is None
-        argv = ["/bin/sh", "-c", 'exec "$@" >&-', "sh", *argv]
-        expected = "[Errno 9] Bad file descriptor"
-    try:
-        proc = subprocess.run(argv, stdout=stdout, stderr=subprocess.PIPE,
-                              env=env, text=True, timeout=60)
-    finally:
-        if stdout is not None:
-            os.close(stdout)
-    assert proc.returncode == 2
-    assert proc.stderr == f"error: <stdout>: {expected}\n"
+#: the streams a child cannot write, and what a write to such a stdout
+#: fails with
+STREAM_FAULTS = {"full": "[Errno 28] No space left on device",
+                 "broken-pipe": "[Errno 32] Broken pipe",
+                 "closed": "[Errno 9] Bad file descriptor"}
 
 
-@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
-@pytest.mark.parametrize("target", ["pipe", "full", "closed"])
-@pytest.mark.parametrize("argv", [["--help"], ["simulate", "--help"]],
-                         ids=["help", "simulate-help"])
-def test_help_is_written_as_data(argv, target, capsys, monkeypatch):
-    # the help text goes through the data writer: main's bytes and exit 0
-    # when stdout takes them, one error: line and exit 2 when it cannot
-    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps the help to it
-    command = [sys.executable, "-m", "cohom.cli", *argv]
-    stdout = subprocess.PIPE
-    if target == "full":
-        stdout = os.open("/dev/full", os.O_WRONLY)
-    elif target == "closed":
-        command = ["/bin/sh", "-c", 'exec "$@" >&-', "sh", *command]
-    try:
-        proc = subprocess.run(command, stdout=stdout, stderr=subprocess.PIPE,
-                              env=_package_env(), text=True, timeout=60)
-    finally:
+def run_child(args, cwd=None, stdout="pipe", stderr="pipe"):
+    """``python *args`` in ``cwd``, each stream on a pipe or at a
+    ``STREAM_FAULTS`` fault: /dev/full, a pipe whose read end is closed,
+    or a descriptor closed at start-up (so that ``sys.stdout`` or
+    ``sys.stderr`` is None).  Returns the ``CompletedProcess``.
+
+    The child imports this checkout's package, raises a RuntimeWarning,
+    block-buffers its stdout, reads no COHOM_SEED, and wraps the help to
+    80 columns."""
+    if "full" in (stdout, stderr) and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    src = str(Path(cohom.__file__).resolve().parents[1])
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("PYTHONUNBUFFERED", "COHOM_SEED")}
+    env.update(PYTHONWARNINGS="error::RuntimeWarning", COLUMNS="80",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    command, streams = [sys.executable, *args], []
+    for fd, target in ((1, stdout), (2, stderr)):
+        stream = subprocess.PIPE
         if target == "full":
-            os.close(stdout)
-    if target == "pipe":
-        with pytest.raises(SystemExit) as err:
-            main(argv)
-        assert (proc.returncode, err.value.code) == (0, 0)
-        assert (proc.stdout, proc.stderr) == (capsys.readouterr().out, "")
-        return
-    expected = {"full": "[Errno 28] No space left on device",
-                "closed": "[Errno 9] Bad file descriptor"}[target]
-    assert proc.returncode == 2
-    assert proc.stderr == f"error: <stdout>: {expected}\n"
+            stream = os.open("/dev/full", os.O_WRONLY)
+        elif target == "broken-pipe":
+            reader, stream = os.pipe()
+            os.close(reader)
+        elif target == "closed":
+            command = ["/bin/sh", "-c", f'exec "$@" {fd}>&-', "sh", *command]
+            stream = None
+        streams.append(stream)
+    try:
+        return subprocess.run(command, cwd=cwd, stdout=streams[0],
+                              stderr=streams[1], env=env, timeout=120)
+    finally:
+        for stream in streams:
+            if stream not in (None, subprocess.PIPE):
+                os.close(stream)
 
 
-#: one ``python -m cohom.cli`` run of each command, half to stdout and
-#: half to ``--out``, in both formats, with progress on; and one exit 2:
-#: argv, files, exit code
-PROCESS_RUNS = {
-    "enumerate-csv": (("enumerate",), {}, 0),
-    "chart-json-out": (("chart", *AS_JSON, "--out", "out"), {}, 0),
-    "analytic-json": (("analytic", "--config", "scan.cfg", *AS_JSON), SCAN,
-                      0),
-    "simulate-amplitude-json-out": (
+@dataclass(frozen=True)
+class Child:
+    """One ``python -m cohom.cli`` process: its argv, the files of the
+    otherwise empty directory it runs in, and where its stdout and stderr
+    go: ``"pipe"`` or a ``STREAM_FAULTS`` key."""
+    argv: tuple
+    files: dict = field(default_factory=dict)
+    stdout: str = "pipe"
+    stderr: str = "pipe"
+
+
+#: every ``python -m cohom.cli`` child.  On pipes: each command, half of
+#: them to --out, in both formats, with progress on; an exit 2; the help
+CHILDREN = {
+    "enumerate-csv": Child(("enumerate",)),
+    "chart-json-out": Child(("chart", *AS_JSON, "--out", "out")),
+    "analytic-json": Child(("analytic", "--config", "scan.cfg", *AS_JSON),
+                           SCAN),
+    "simulate-amplitude-json-out": Child(
         ("simulate", "--config", "point.cfg", *AS_JSON, "--out", "out"),
-        POINT, 0),
-    "simulate-classical-csv": (("simulate", "--config", "point.cfg"),
-                               {"point.cfg": _with_mode(POINT_CFG,
-                                                        "classical")}, 0),
-    "scan-csv-out": (("scan", "--config", "scan.cfg", "--out", "out"), SCAN,
-                     0),
-    "validate-csv": (("validate",), {}, 0),
-    "simulate-bad-config": (("simulate", "--config", "point.cfg"),
-                            {"point.cfg": "[run]\ncolour = red\n"}, 2),
+        POINT),
+    "simulate-classical-csv": Child(
+        ("simulate", "--config", "point.cfg"),
+        {"point.cfg": _with_mode(POINT_CFG, "classical")}),
+    "scan-csv-out": Child(("scan", "--config", "scan.cfg", "--out", "out"),
+                          SCAN),
+    "validate-csv": Child(("validate",)),
+    "simulate-bad-config": Child(("simulate", "--config", "point.cfg"),
+                                 {"point.cfg": "[run]\ncolour = red\n"}),
+    "help": Child(("--help",)),
+    "simulate-help": Child(("simulate", "--help")),
+}
+# a stdout that cannot be written, progress off; a stderr, progress on
+for name, child, stream, faults in (
+        ("enumerate", Child(("enumerate", "--quiet")), "stdout",
+         STREAM_FAULTS),
+        ("validate", Child(("validate", "--quiet")), "stdout", STREAM_FAULTS),
+        ("simulate", Child(SIMULATE, POINT), "stdout", STREAM_FAULTS),
+        ("help", CHILDREN["help"], "stdout", ("full", "closed")),
+        ("simulate-help", CHILDREN["simulate-help"], "stdout",
+         ("full", "closed")),
+        ("simulate", Child(("simulate", "--config", "point.cfg"), POINT),
+         "stderr", ("full", "closed")),
+        ("validate", CHILDREN["validate-csv"], "stderr", ("full", "closed")),
+        ("simulate-bad-config", CHILDREN["simulate-bad-config"], "stderr",
+         ("full", "closed"))):
+    for fault in faults:
+        CHILDREN[f"{name}-{stream}-{fault}"] = replace(child,
+                                                       **{stream: fault})
+
+
+def _masked(data) -> str:
+    """``data`` (bytes or text) but for the wall clock: the manifest's
+    and the progress line's."""
+    text = data.decode() if isinstance(data, bytes) else data
+    return re.sub(r"done in [0-9.]+s", "done in 0s", _mask_clock(text))
+
+
+@pytest.mark.parametrize("child", CHILDREN.values(), ids=CHILDREN)
+def test_child_process(child, tmp_path, capsys, monkeypatch):
+    # a cohom process ends through cli.run, without the interpreter's
+    # teardown, and its stdout is block-buffered.  On pipes it writes what
+    # main writes, but for the wall clock.  A stdout it cannot write, the
+    # help's too, exits 2 with one error line, and run's final flush must
+    # not turn that 2 into 120.  A stderr it cannot write drops the
+    # diagnostics, and nothing else
+    proc = run_child(("-m", "cohom.cli", *child.argv),
+                     _files(tmp_path / "child", child.files), child.stdout,
+                     child.stderr)
+    if child.stdout != "pipe":
+        assert proc.returncode == 2
+        assert proc.stderr.decode() == (
+            f"error: <stdout>: {STREAM_FAULTS[child.stdout]}\n")
+        return
+    with monkeypatch.context() as patch:
+        patch.chdir(_files(tmp_path / "main", child.files))
+        patch.delenv("COHOM_SEED", raising=False)
+        patch.setenv("COLUMNS", "80")
+        try:
+            code = main(list(child.argv))  # one error: line on exit 2
+        except SystemExit as exc:  # the help
+            code = exc.code
+    out, err = capsys.readouterr()
+    assert (proc.returncode, _masked(proc.stdout)) == (code, _masked(out)), (
+        proc.stderr)
+    assert ({name: _masked(data) for name, data in
+             _tree(tmp_path / "child").items()}
+            == {name: _masked(data) for name, data in
+                _tree(tmp_path / "main").items()})
+    if child.stderr == "pipe":
+        assert _masked(proc.stderr) == _masked(err)
+
+
+def test_every_command_and_stream_fault_has_a_child():
+    # so that an edit of the table cannot drop a command or a fault unseen
+    piped = {child.argv[0] for child in CHILDREN.values()
+             if child.stdout == child.stderr == "pipe"}
+    assert {*_commands(), "--help"} <= piped
+    assert {child.stdout for child in CHILDREN.values()} == {
+        "pipe", *STREAM_FAULTS}
+    assert {child.stderr for child in CHILDREN.values()} == {
+        "pipe", "full", "closed"}
+
+
+#: runs that leave modules unloaded: argv, files, and the modules.
+#: ``sys.modules`` only grows, so each holds after the bare import too
+UNLOADED = {
+    # validate imports its suite on demand, and enumerate, chart and
+    # validate the pair combinatorics in optics
+    "simulate": (SIMULATE, POINT, ("cohom.optics", "cohom.validation",
+                                   "concurrent.futures")),
+    # the quadrature reference needs no LAPACK eigensolver, and the
+    # threaded scan in rerun-determinism no executor, which imports logging
+    "validate": (("validate", "--quiet"), {},
+                 ("numpy.polynomial", "concurrent.futures", "logging")),
+    # a CSV run writes no JSON, and its integers are all written in digits
+    "scan-csv": (("scan", "--config", "scan.cfg", "--quiet"), SCAN,
+                 ("json", "decimal")),
 }
 
 
-def _mask_progress_clock(text: str) -> str:
-    return re.sub(r"done in [0-9.]+s", "done in 0s", text)
+@pytest.mark.parametrize("argv, files, modules", UNLOADED.values(),
+                         ids=UNLOADED)
+def test_run_leaves_modules_unloaded(argv, files, modules, tmp_path):
+    code = ("import sys\nfrom cohom.cli import main\n"
+            f"assert main({list(argv)!r}) == 0\n"
+            f"print(sorted(set({modules!r}) & set(sys.modules)),"
+            " file=sys.stderr)\n")
+    proc = run_child(("-c", code), _files(tmp_path / "run", files))
+    assert (proc.returncode, proc.stderr) == (0, b"[]\n")
 
 
-@pytest.mark.parametrize("argv, files, exit_code", PROCESS_RUNS.values(),
-                         ids=PROCESS_RUNS)
-def test_process_writes_what_main_writes(argv, files, exit_code, tmp_path,
-                                         capsys, monkeypatch):
-    # the process ends through cli.run, without the interpreter's
-    # teardown: its stdout, --out file, progress and exit code must still
-    # be main's, but for the wall clock
-    for side in ("process", "main"):
-        (tmp_path / side).mkdir()
-        for name, text in files.items():
-            (tmp_path / side / name).write_text(text)
-    env = _package_env()
-    env.pop("PYTHONUNBUFFERED", None)
-    env.pop("COHOM_SEED", None)
-    proc = subprocess.run([sys.executable, "-m", "cohom.cli", *argv],
-                          cwd=tmp_path / "process", env=env,
-                          capture_output=True, timeout=120)
-    with monkeypatch.context() as patch:
-        patch.chdir(tmp_path / "main")
-        patch.delenv("COHOM_SEED", raising=False)
-        code = main(list(argv))  # one error: line on exit 2
-    out, err = capsys.readouterr()
-    assert (proc.returncode, code) == (exit_code, exit_code), proc.stderr
-    assert _mask_clock(proc.stdout.decode()) == _mask_clock(out)
-    assert ({name: _mask_clock(data.decode())
-             for name, data in _tree(tmp_path / "process").items()}
-            == {name: _mask_clock(data.decode())
-                for name, data in _tree(tmp_path / "main").items()})
-    assert _mask_progress_clock(proc.stderr.decode()) == (
-        _mask_progress_clock(err))
-
-
-@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 @pytest.mark.parametrize("fault", ["unwritable", "closed"])
 def test_failed_final_flush_exits_as_the_interpreter_does(fault):
     # when run's own flush fails, the process leaves through the
@@ -843,63 +894,14 @@ def test_failed_final_flush_exits_as_the_interpreter_does(fault):
     # cannot write, and main's code for a stdout the run closed
     leave = ("sys.stdout.write('data')" if fault == "unwritable"
              else "sys.stdout.close()")
-    env = _package_env()
-    env.pop("PYTHONUNBUFFERED", None)
     ends = []
     for ending in ("sys.exit(cli.main())", "cli.run()"):
         code = ("import sys\nfrom cohom import cli\n"
                 f"cli.main = lambda: ({leave}, 0)[1]\n{ending}\n")
-        stdout = os.open("/dev/full", os.O_WRONLY)
-        try:
-            proc = subprocess.run([sys.executable, "-c", code],
-                                  stdout=stdout, stderr=subprocess.PIPE,
-                                  env=env, text=True, timeout=60)
-        finally:
-            os.close(stdout)
+        proc = run_child(("-c", code), stdout="full")
         ends.append((proc.returncode, proc.stderr))
     assert ends[0] == ends[1]
     assert ends[0][0] == (120 if fault == "unwritable" else 0)
-
-
-#: runs that write a progress or error line: argv, files, exit code
-STDERR_RUNS = {
-    "simulate": (("simulate", "--config", "point.cfg"), POINT, 0),
-    "validate": (("validate",), {}, 0),
-    "simulate-bad-config": (("simulate", "--config", "point.cfg"),
-                            {"point.cfg": "[run]\ncolour = red\n"}, 2),
-}
-
-
-@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
-@pytest.mark.parametrize("target", ["full", "closed"])
-@pytest.mark.parametrize("argv, files, exit_code", STDERR_RUNS.values(),
-                         ids=STDERR_RUNS)
-def test_unwritable_stderr_changes_neither_data_nor_exit_code(
-        argv, files, exit_code, target, tmp_path, capsys, monkeypatch):
-    # progress and error lines are diagnostics: a process whose stderr
-    # cannot be written drops them, and writes main's stdout and exit code
-    for name, text in files.items():
-        (tmp_path / name).write_text(text)
-    command = [sys.executable, "-m", "cohom.cli", *argv]
-    env = _package_env()
-    env.pop("PYTHONUNBUFFERED", None)
-    env.pop("COHOM_SEED", None)
-    stderr = None
-    if target == "full":
-        stderr = os.open("/dev/full", os.O_WRONLY)
-    else:
-        command = ["/bin/sh", "-c", 'exec "$@" 2>&-', "sh", *command]
-    try:
-        proc = subprocess.run(command, cwd=tmp_path, stdout=subprocess.PIPE,
-                              stderr=stderr, env=env, timeout=120)
-    finally:
-        if stderr is not None:
-            os.close(stderr)
-    monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("COHOM_SEED", raising=False)
-    assert main(list(argv)) == exit_code
-    assert proc.returncode == exit_code
-    assert proc.stdout.decode() == capsys.readouterr().out
 
 
 def test_no_stderr_keeps_diagnostics_out_of_the_data(point_cfg, capsys,
@@ -1056,45 +1058,3 @@ class TestValidate:
         assert "element-unitarity" in names
         assert all("measured" in c and "tolerance" in c
                    for c in payload["checks"])
-
-
-def test_import_skips_modules_only_some_commands_run(point_cfg):
-    # validate imports its suite on demand, and enumerate, chart and
-    # validate the pair combinatorics in optics: neither is loaded by the
-    # import, nor by a simulate run after it
-    code = ("import sys\n"
-            "def loaded():\n"
-            "    print(sorted(m for m in ('cohom.optics', 'cohom.validation',"
-            " 'concurrent.futures') if m in sys.modules), file=sys.stderr)\n"
-            "import cohom.cli\nloaded()\n"
-            f"assert cohom.cli.main(['simulate', '--config', {point_cfg!r},"
-            " '--quiet']) == 0\nloaded()\n")
-    proc = subprocess.run([sys.executable, "-c", code], env=_package_env(),
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == "[]\n[]\n"
-
-
-def test_validate_loads_no_quadrature_pool_or_logging():
-    # the quadrature reference needs no LAPACK eigensolver, and the
-    # threaded scan in rerun-determinism no executor, which imports logging
-    code = ("import sys\nfrom cohom.cli import main\n"
-            "assert main(['validate', '--quiet']) == 0\n"
-            "print(sorted(m for m in ('numpy.polynomial', 'concurrent.futures',"
-            " 'logging') if m in sys.modules), file=sys.stderr)")
-    proc = subprocess.run([sys.executable, "-c", code], env=_package_env(),
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == "[]\n"
-
-
-def test_csv_scan_loads_neither_json_nor_decimal(scan_cfg):
-    # a CSV run writes no JSON, and its integers are all written in digits
-    code = ("import sys\nfrom cohom.cli import main\n"
-            f"assert main(['scan', '--config', {scan_cfg!r}, '--quiet'])"
-            " == 0\nprint(sorted(m for m in ('json', 'decimal')"
-            " if m in sys.modules), file=sys.stderr)")
-    proc = subprocess.run([sys.executable, "-c", code], env=_package_env(),
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == "[]\n"
