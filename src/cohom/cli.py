@@ -300,6 +300,8 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.handler(args)
+    except SystemExit as exc:  # argparse leaves the help through exit(0)
+        return exc.code
     except (ConfigParseError, ConfigError, BenchIOError) as exc:
         _diagnose(f"error: {exc}")
         return 2
